@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -585,8 +586,19 @@ def _cmd_experiment(args):
 # parser
 
 
+def _finite_float(text: str) -> float:
+    """Parse a float option; nan and inf are rejected with exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _csv_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+    return [_finite_float(x) for x in text.split(",")]
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -604,7 +616,7 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must look like lo:hi:num")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    return _finite_float(parts[0]), _finite_float(parts[1]), int(parts[2])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", default=None)
     p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--energy", type=float, required=True)
+    p.add_argument("--energy", type=_finite_float, required=True)
     p.add_argument("--r-dim", type=int, default=None)
     add_common(p)
     p.set_defaults(handler=_cmd_ecd_norm)
@@ -647,14 +659,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gibbs", help="Gibbs state at a mean energy")
     p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--energy", type=float, required=True)
+    p.add_argument("--energy", type=_finite_float, required=True)
     add_common(p, seeded=False)
     p.set_defaults(handler=_cmd_gibbs)
 
     p = sub.add_parser("fbound", help="constrained max entropy and entropy bounds")
     p.add_argument("--hamiltonian", default=None)
     p.add_argument("--fhat", default=None, help="osc:W1[,W2..] or shifted:PATH")
-    p.add_argument("--energy", type=float, default=None)
+    p.add_argument("--energy", type=_finite_float, default=None)
     p.add_argument("--energy-grid", type=_grid_spec, default=None, help="lo:hi:num")
     add_common(p, seeded=False)
     p.set_defaults(handler=_cmd_fbound)
@@ -673,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cap-est", help="Holevo capacity lower estimate")
     p.add_argument("--channel", required=True)
     p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--energy", type=float, required=True)
+    p.add_argument("--energy", type=_finite_float, required=True)
     p.add_argument("--ensemble-size", type=int, default=None)
     add_common(p)
     p.set_defaults(handler=_cmd_cap_est)
@@ -682,20 +694,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True)
     p.add_argument("--h-in", required=True)
     p.add_argument("--h-out", required=True)
-    p.add_argument("--energy", type=float, required=True)
+    p.add_argument("--energy", type=_finite_float, required=True)
     add_common(p, seeded=False)
     p.set_defaults(handler=_cmd_energy_gain)
 
     for name, handler in (("bound", _cmd_bound), ("optimize-t", _cmd_optimize_t)):
         p = sub.add_parser(name, help="continuity bound evaluation")
         p.add_argument("kind", choices=sorted(BOUND_KINDS))
-        p.add_argument("--eps", type=float, required=True)
-        p.add_argument("--energy", type=float, required=True)
+        p.add_argument("--eps", type=_finite_float, required=True)
+        p.add_argument("--energy", type=_finite_float, required=True)
         p.add_argument("--fhat", required=True, help="osc:W1[,W2..] or shifted:PATH")
         p.add_argument("--copies", type=int, default=1)
         p.add_argument("--log-shift", action="store_true")
         if name == "bound":
-            p.add_argument("--t", type=float, default=None)
+            p.add_argument("--t", type=_finite_float, default=None)
             p.add_argument("--optimize-t", action="store_true")
             p.add_argument("--sweep", type=int, default=0, help="emit a CSV sweep over t")
         add_common(p, seeded=False)
@@ -713,17 +725,17 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--hbar-omega", type=float, default=1.0)
+    p.add_argument("--theta", type=_finite_float, default=0.0)
+    p.add_argument("--eta", type=_finite_float, default=1.0)
+    p.add_argument("--p", type=_finite_float, default=1.0)
+    p.add_argument("--hbar-omega", type=_finite_float, default=1.0)
     add_common(p, seeded=False)
     p.set_defaults(handler=_cmd_zoo)
 
     p = sub.add_parser("experiment", help="run a named experiment recipe")
     p.add_argument("name", choices=sorted(EXPERIMENTS))
     p.add_argument("--levels", type=int, default=16)
-    p.add_argument("--energy", type=float, default=2.0)
+    p.add_argument("--energy", type=_finite_float, default=2.0)
     p.add_argument(
         "--thetas",
         type=_csv_floats,
@@ -731,8 +743,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--r-dim", type=int, default=1)
     p.add_argument("--dims", type=_csv_ints, default=[8, 16, 24])
-    p.add_argument("--eta1", type=float, default=0.70)
-    p.add_argument("--eta2", type=float, default=0.69)
+    p.add_argument("--eta1", type=_finite_float, default=0.70)
+    p.add_argument("--eta2", type=_finite_float, default=0.69)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=250)
@@ -750,13 +762,13 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         payload = args.handler(args)
+        _emit(payload, args.out)
     except InfeasibleProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.out)
     return 0
 
 

@@ -23,7 +23,6 @@ from .operators import (
     Hamiltonian,
     HermitianPreservingMap,
     DensityOperator,
-    InfeasibleProblemError,
     hermitian_abs,
     partial_trace,
     tensor,
@@ -33,6 +32,7 @@ from .optim import (
     MAX_ITER,
     EnergyCap,
     TraceNormObjective,
+    check_energy_budget,
     energy_constrained_sup,
     multistart_ascend,
     normalize,
@@ -58,11 +58,7 @@ class EcdProblem:
     def __post_init__(self):
         if self.map.in_dim != self.h_in.dimension:
             raise ValueError("map input dimension does not match the Hamiltonian")
-        if self.energy <= self.h_in.ground_energy:
-            raise InfeasibleProblemError(
-                f"energy budget {self.energy} must exceed the ground energy "
-                f"{self.h_in.ground_energy}"
-            )
+        check_energy_budget(self.h_in, self.energy)
         if self.r_dim is None:
             object.__setattr__(self, "r_dim", self.map.in_dim)
         elif self.r_dim < 1:

@@ -1,9 +1,11 @@
 """Shared numerical machinery.
 
 Projected gradient ascent on the unit sphere with an optional mean-energy
-cap, deterministic multi-starts, a hand-rolled golden-section search, and the
-one-dimensional dual for maximizing a linear functional over energy-bounded
-states.
+cap, deterministic multi-starts, a hand-rolled golden-section search, and one
+solver for maximizing a linear functional over energy-bounded states: the
+one-dimensional dual min_{μ≥0} λmax(G − μK) + μE, minimized by safeguarded
+Newton steps on Danskin's derivative E − ⟨v|K|v⟩. The dense capped proposal
+of the ascent and `energy_constrained_sup` both use it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,18 @@ def normalize(v: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / n
+
+
+def check_energy_budget(hamiltonian: Hamiltonian, budget: float) -> None:
+    """Reject a non-finite budget (ValueError) or one at or below the ground
+    energy (InfeasibleProblemError)."""
+    if not np.isfinite(budget):
+        raise ValueError(f"energy budget must be a finite number, got {budget}")
+    if budget <= hamiltonian.ground_energy:
+        raise InfeasibleProblemError(
+            f"energy budget {budget} must exceed the ground energy "
+            f"{hamiltonian.ground_energy}"
+        )
 
 
 def golden_section_min(
@@ -65,19 +79,20 @@ def golden_section_min(
 class EnergyCap:
     """Projection onto {ψ on A⊗R : <ψ|(H ⊗ I)|ψ> <= budget, |ψ| = 1}.
 
-    Infeasible vectors are mixed toward the lowest-energy product direction
-    compatible with their own reference profile; the mixing weight is found
-    by bisection until the constraint is active.
+    An infeasible unit vector ψ is mixed toward the lowest-energy product
+    direction g = τ₀ ⊗ r compatible with its own reference profile r. The
+    normalized mix ψ + t·g meets the budget E exactly at the positive root t
+    of (E₀ − E)t² + 2(Re⟨ψ|H⊗I|g⟩ − E·Re⟨ψ|g⟩)t + (e(ψ) − E) = 0, where E₀
+    is the ground energy; t is nudged upward when rounding leaves the result
+    above the budget.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, r_dim: int, budget: float):
-        if budget <= hamiltonian.ground_energy:
-            raise InfeasibleProblemError(
-                f"energy budget {budget} must exceed the ground energy "
-                f"{hamiltonian.ground_energy}"
-            )
+        check_energy_budget(hamiltonian, budget)
         self._h = hamiltonian.matrix
         self._tau0 = hamiltonian.eigenbasis[:, 0]
+        self._h_tau0 = self._h @ self._tau0
+        self._e0 = float(hamiltonian.ground_energy)
         self._dim = hamiltonian.dimension
         self._r_dim = int(r_dim)
         self._h_kron = None
@@ -106,19 +121,20 @@ class EnergyCap:
         else:
             rvec = rvec / rn
         ground = np.outer(self._tau0, rvec).reshape(-1)
-        lo, hi = 0.0, 1.0  # energy(lo) > budget, energy(hi) = ground < budget
-        cand = ground
-        for _ in range(100):
-            s = 0.5 * (lo + hi)
-            cand = normalize((1.0 - s) * psi + s * ground)
-            e = self.energy(cand)
-            if e > self.budget:
-                lo = s
-            else:
-                hi = s
-                if e >= self.budget - 1e-12 * max(1.0, self.budget):
-                    return cand
-        return normalize((1.0 - hi) * psi + hi * ground)
+        overlap = float(np.vdot(psi, ground).real)
+        h_overlap = float(np.vdot(psi, np.outer(self._h_tau0, rvec).reshape(-1)).real)
+        # a t² + 2 b t − c = 0 with a, c > 0 has one positive root
+        a = self.budget - self._e0
+        b = self.budget * overlap - h_overlap
+        c = e - self.budget
+        root = np.sqrt(b * b + a * c)
+        t = c / (b + root) if b > 0.0 else (root - b) / a
+        for k in range(8):
+            cand = normalize(psi + t * ground)
+            if self.energy(cand) <= self.budget:
+                return cand
+            t += (t + 1.0) * 1e-15 * 8.0**k
+        return ground
 
 
 class TraceNormObjective:
@@ -218,6 +234,19 @@ class TraceNormObjective:
             grad = grad + self._s_extra @ m
         return grad.reshape(-1)
 
+    def surrogate_matrix(self) -> np.ndarray:
+        """Dense Hermitian G with ⟨ψ|G|ψ⟩ = sign_value(ψ), Gψ = apply_sign(ψ).
+
+        One contraction of the stored sign tensor with the Choi tensor, plus
+        the identity part ⊗ I_R on the factored path.
+        """
+        dim = self.in_dim * self.r_dim
+        g = np.tensordot(self._s4, self._c4, axes=([0, 2], [2, 0]))  # ysxr,xiyj -> srij
+        g = g.transpose(3, 0, 2, 1).reshape(dim, dim)
+        if self._s_extra is not None:
+            g = g + np.kron(self._s_extra, np.eye(self.r_dim))
+        return 0.5 * (g + g.conj().T)
+
     def sign_value(self, psi: np.ndarray) -> float:
         return float(np.vdot(psi, self.apply_sign(psi)).real)
 
@@ -311,63 +340,164 @@ def _linearized_proposal(objective, psi, g_psi, prev, project):
 
 
 CAP_PROPOSAL_MAX_DIM = 64
+DUAL_MAX_EVALS = 200
+
+
+class _DualPoint:
+    """φ(μ) = λmax(G − μK) + μE with its derivatives, from one eigh."""
+
+    def __init__(self, g: np.ndarray, k: np.ndarray, budget: float, mu: float):
+        self.mu = mu
+        w, v = np.linalg.eigh(g - mu * k)
+        self.top = v[:, -1]
+        k_top = k @ self.top
+        self.phi = float(w[-1]) + mu * budget
+        # Danskin: φ'(μ) = E − ⟨v|K|v⟩, the budget minus the top vector's energy
+        self.slope = budget - float(np.vdot(self.top, k_top).real)
+        # second-order perturbation: λmax'' = 2 Σ_j |⟨v_j|K|v⟩|² / (λmax − λ_j);
+        # meaningless at a (numerically) degenerate top, where φ has a kink
+        gaps = w[-1] - w[:-1]
+        if gaps.size and gaps[-1] <= 1e-12 * max(1.0, float(np.abs(w).max())):
+            self.curv = np.inf
+        else:
+            coupling = np.abs(v[:, :-1].conj().T @ k_top) ** 2
+            self.curv = 2.0 * float(np.sum(coupling / gaps))
+
+    def newton(self) -> float:
+        """Newton step length |φ'/φ''|, infinite where φ'' gives no step."""
+        if not 0.0 < self.curv < np.inf:
+            return np.inf
+        return abs(self.slope) / self.curv
+
+
+def _energy_dual(g: np.ndarray, k: np.ndarray, budget: float, mu_hint: float, rtol: float):
+    """Minimize the convex φ(μ) = λmax(G − μK) + μE over μ ≥ 0.
+
+    The root of φ' is bracketed by stepping from the warm start `mu_hint`
+    (twice the Newton step, doubling each time the root is not crossed),
+    then approached by safeguarded Newton steps inside the bracket [lo, hi],
+    where φ'(lo) < 0 ≤ φ'(hi). A step that leaves the bracket, or shrinks
+    less than half as fast as the one before, is replaced by the intersection
+    of the tangents at lo and hi, and a tangent step that fails to halve the
+    bracket by bisection. Stops when hi − lo ≤ rtol·max(1, hi) or when the
+    tangents certify φ to 1e-14 relative (a kink), or at μ = 0 with φ'(0) ≥ 0.
+
+    Returns (μ, φ(μ), the top eigenvector at lo, the top eigenvector at hi):
+    μ is the evaluated point with the lowest φ; the vector at lo has energy
+    above E (None when μ = 0 is optimal) and the one at hi at most E. A mix
+    of the two with energy E attains the tangents' lower bound on min φ.
+    """
+    lo = hi = None
+    p = _DualPoint(g, k, budget, max(float(mu_hint), 0.0))
+    step = 0.0  # last step length while bracketing
+    last = np.inf  # last step length inside the bracket
+    tangent_width = None  # bracket width before the last tangent step
+    for _ in range(DUAL_MAX_EVALS):
+        if p.slope >= 0.0:
+            hi = p
+            if p.mu == 0.0:
+                break
+        else:
+            lo = p
+        if lo is None or hi is None:
+            step = max(2.0 * p.newton(), 2.0 * step)
+            if p is lo:
+                mu = p.mu + step if np.isfinite(step) else max(2.0 * p.mu, 1.0)
+            else:
+                mu = max(p.mu - step, 0.0) if np.isfinite(step) else 0.0
+            p = _DualPoint(g, k, budget, mu)
+            continue
+        width = hi.mu - lo.mu
+        tol = rtol * max(1.0, hi.mu)
+        if width <= tol:
+            break
+        cut = (hi.phi - lo.phi + lo.slope * lo.mu - hi.slope * hi.mu) / (lo.slope - hi.slope)
+        cut = min(max(cut, lo.mu), hi.mu)
+        floor = lo.phi + lo.slope * (cut - lo.mu)
+        least = min(lo.phi, hi.phi)
+        if least - floor <= 1e-14 * max(1.0, abs(least)):
+            break
+        newton = p.newton()
+        mu = p.mu + newton if p is lo else p.mu - newton
+        if lo.mu < mu < hi.mu and newton <= 0.5 * last:
+            last = newton
+            tangent_width = None
+        elif tangent_width is not None and width > 0.5 * tangent_width:
+            mu = 0.5 * (lo.mu + hi.mu)
+            tangent_width = None
+        else:
+            mu = cut
+            tangent_width = width
+        mu = min(max(mu, lo.mu + 0.5 * tol), hi.mu - 0.5 * tol)
+        p = _DualPoint(g, k, budget, mu)
+    best = min((q for q in (lo, hi) if q is not None), key=lambda q: q.phi)
+    return best.mu, best.phi, None if lo is None else lo.top, hi.top
+
+
+def _best_in_span(a: np.ndarray, b: np.ndarray, g: np.ndarray, k: np.ndarray, budget: float):
+    """Unit x in span{a, b} maximizing ⟨x|G|x⟩ subject to ⟨x|K|x⟩ ≤ budget.
+
+    On two levels both forms are affine in the Bloch vector n, so this is a
+    linear function over a cap of the unit sphere: the free maximizer when it
+    is feasible, else the best point on the circle where the budget is met
+    exactly (the lowest-energy vector if rounding leaves the cap empty).
+    """
+    q = np.linalg.qr(np.column_stack([a, b]))[0]
+
+    def bloch(m):
+        m2 = q.conj().T @ m @ q
+        x = m2[0, 1]
+        return 0.5 * float((m2[0, 0] + m2[1, 1]).real), np.array(
+            [x.real, -x.imag, 0.5 * float((m2[0, 0] - m2[1, 1]).real)]
+        )
+
+    _, gv = bloch(g)
+    k0, kv = bloch(k)
+    room = budget - k0
+    kn = float(np.linalg.norm(kv))
+    gn = float(np.linalg.norm(gv))
+    n = gv / gn if gn > 0.0 else -kv / max(kn, np.finfo(float).tiny)
+    if kv @ n > room and kn > 0.0:
+        khat = kv / kn
+        perp = gv - (gv @ khat) * khat
+        pn = float(np.linalg.norm(perp))
+        if pn <= 1e-15 * max(gn, 1e-300):
+            # G favors pure energy: any direction on the circle is optimal
+            perp = np.eye(3)[int(np.argmin(np.abs(khat)))]
+            perp = perp - (perp @ khat) * khat
+            pn = float(np.linalg.norm(perp))
+        cos = min(max(room / kn, -1.0), 1.0)
+        n = cos * khat + np.sqrt(max(1.0 - cos * cos, 0.0)) * perp / pn
+    if n[2] >= 0.0:
+        x0 = np.sqrt(0.5 * (1.0 + n[2]))
+        coeffs = np.array([x0, complex(n[0], n[1]) / (2.0 * x0)])
+    else:
+        x1 = np.sqrt(0.5 * (1.0 - n[2]))
+        coeffs = np.array([complex(n[0], -n[1]) / (2.0 * x1), x1])
+    return normalize(q @ coeffs)
 
 
 def _capped_proposal(objective, cap, dim: int, mu_hint: float):
     """Exact maximizer of the current sign surrogate under the energy cap.
 
-    The surrogate is a Hermitian quadratic form ψ ↦ ⟨ψ|G|ψ⟩, so its maximum
-    over unit vectors with ⟨ψ|(H⊗I)|ψ⟩ ≤ E follows from the one-dimensional
-    dual min_{μ≥0} λmax(G − μH⊗I) + μE. When the budget lands strictly inside
-    a (near-)degenerate top eigenspace, a two-level superposition inside that
-    space attains it; the relative phase is chosen to favor G. Only worth the
-    dense eigensolves at small dimension, hence the gate in `ascend`.
+    The surrogate is a Hermitian quadratic form ψ ↦ ⟨ψ|G|ψ⟩ on vectors of
+    length dim, with G built by one contraction (`surrogate_matrix`), so its
+    maximum over unit vectors with ⟨ψ|(H⊗I)|ψ⟩ ≤ E is the one-dimensional
+    dual min_{μ≥0} λmax(G − μH⊗I) + μE, solved by `_energy_dual` from the
+    warm start mu_hint. The proposal is the top eigenvector at μ = 0 when
+    that is feasible, else the best vector in the span of the top
+    eigenvectors at both ends of the final bracket, which meets the budget
+    exactly when the free maximum is infeasible. The span holds the feasible
+    end's eigenvector, and its best vector attains the dual value up to the
+    solver's final gap, so the proposal never scores below the current point.
+    Only worth the dense eigensolves at small dimension, hence the gate in
+    `ascend`.
     """
-    cols = np.eye(dim, dtype=np.complex128)
-    g = np.column_stack([objective.apply_sign(cols[:, j]) for j in range(dim)])
-    g = 0.5 * (g + g.conj().T)
+    g = objective.surrogate_matrix()
     h = cap.kron_matrix()
     budget = cap.budget
-
-    def phi(mu: float) -> float:
-        return float(np.linalg.eigvalsh(g - mu * h)[-1]) + mu * budget
-
-    hi = max(1.0, 4.0 * mu_hint)
-    for _ in range(60):
-        if phi(2.0 * hi) >= phi(hi):
-            break
-        hi *= 2.0
-    hi *= 2.0
-    mu, _ = golden_section_min(phi, 0.0, hi, tol=1e-8 * max(1.0, hi))
-    w, v = np.linalg.eigh(g - mu * h)
-    cands = []
-    top = v[:, -1]
-    if cap.energy(top) <= budget + 1e-12:
-        cands.append(top)
-    for k in range(2, min(dim, 8) + 1):
-        # rediagonalize the energy inside the top-k space, then mix the
-        # extremal directions so the budget is met with equality
-        t = v[:, dim - k:]
-        ht = t.conj().T @ h @ t
-        he, hv = np.linalg.eigh(0.5 * (ht + ht.conj().T))
-        e_lo, e_hi = float(he[0]), float(he[-1])
-        if e_lo > budget:
-            continue
-        u = t @ hv
-        if e_hi <= budget:
-            cands.append(u[:, -1])
-            break
-        alpha = (e_hi - budget) / max(e_hi - e_lo, 1e-30)
-        lo_dir, hi_dir = u[:, 0], u[:, -1]
-        cross = complex(hi_dir.conj() @ g @ lo_dir)
-        phase = 1.0 if abs(cross) < 1e-30 else cross / abs(cross)
-        mix = np.sqrt(alpha) * lo_dir + np.sqrt(1.0 - alpha) * phase * hi_dir
-        cands.append(mix / np.linalg.norm(mix))
-        break
-    if not cands:
-        return None, mu
-    vals = [float((c.conj() @ g @ c).real) for c in cands]
-    best = cands[int(np.argmax(vals))]
+    mu, _, lo_top, hi_top = _energy_dual(g, h, budget, mu_hint, 1e-8)
+    best = hi_top if lo_top is None else _best_in_span(lo_top, hi_top, g, h, budget)
     if cap.energy(best) > budget:
         best = cap(best)
     return best, mu
@@ -488,8 +618,12 @@ class EnergyConstrainedSup:
     """Exact value of max Tr[Mρ] over states with Tr[Hρ] <= budget.
 
     value comes from the dual min_{μ>=0} λmax(M - μH) + μ·budget, which is
-    tight here; state is a feasible primal certificate and attained its
-    objective value, so value - attained is the (tiny) reconstruction gap.
+    tight here, solved by `_energy_dual` to a bracket of 1e-12·max(1, μ);
+    multiplier is the minimizing μ. state is a feasible primal certificate of
+    rank at most two, the mix of the top eigenvectors at both ends of the
+    final bracket that meets the budget exactly (the top eigenvector at μ = 0
+    when that is optimal), and attained is its objective value, so
+    value - attained is the (tiny) duality gap.
     """
 
     value: float
@@ -501,51 +635,15 @@ class EnergyConstrainedSup:
 def energy_constrained_sup(
     m: np.ndarray, hamiltonian: Hamiltonian, budget: float
 ) -> EnergyConstrainedSup:
-    if budget <= hamiltonian.ground_energy:
-        raise InfeasibleProblemError(
-            f"energy budget {budget} must exceed the ground energy "
-            f"{hamiltonian.ground_energy}"
-        )
+    check_energy_budget(hamiltonian, budget)
     h = hamiltonian.matrix
     m = 0.5 * (m + m.conj().T)
-
-    def phi(mu: float) -> float:
-        return float(np.linalg.eigvalsh(m - mu * h)[-1]) + mu * budget
-
-    hi = 1.0
-    for _ in range(80):
-        if phi(2.0 * hi) >= phi(hi):
-            break
-        hi *= 2.0
-    hi *= 2.0
-    mu, _ = golden_section_min(phi, 0.0, hi, tol=1e-12 * max(1.0, hi))
-    value = phi(mu)
-
-    # primal certificate: rediagonalize H inside the top eigenspace of M - μH
-    # so that degenerate eigenspaces expose their energy-extremal directions
-    w, v = np.linalg.eigh(m - mu * h)
-    top = np.flatnonzero(w >= w[-1] - max(1e-9, 1e-9 * abs(w[-1])))
-    t = v[:, top]
-    ht = t.conj().T @ h @ t
-    he, hv = np.linalg.eigh(0.5 * (ht + ht.conj().T))
-    cols = t @ hv
-    e_lo, e_hi = float(he[0]), float(he[-1])
-    if e_hi <= budget + 1e-12:
-        # whole top space feasible; the highest-energy direction attains most
-        x = cols[:, -1]
-        state = np.outer(x, x.conj())
-    elif e_lo <= budget:
-        alpha = (e_hi - budget) / (e_hi - e_lo)
-        lo_dir, hi_dir = cols[:, 0], cols[:, -1]
-        state = alpha * np.outer(lo_dir, lo_dir.conj()) + (1.0 - alpha) * np.outer(
-            hi_dir, hi_dir.conj()
-        )
-    else:
-        # the whole top space violates the budget; mix its lowest-energy
-        # direction with the Hamiltonian ground state to regain feasibility
-        tau0 = hamiltonian.eigenbasis[:, 0]
-        x = cols[:, 0]
-        alpha = (e_lo - budget) / (e_lo - hamiltonian.ground_energy)
-        state = alpha * np.outer(tau0, tau0.conj()) + (1.0 - alpha) * np.outer(x, x.conj())
+    mu, value, lo_top, hi_top = _energy_dual(m, h, budget, 0.0, 1e-12)
+    state = np.outer(hi_top, hi_top.conj())
+    if lo_top is not None:
+        e_lo = float(np.vdot(lo_top, h @ lo_top).real)
+        e_hi = float(np.vdot(hi_top, h @ hi_top).real)
+        alpha = (budget - e_hi) / (e_lo - e_hi)
+        state = alpha * np.outer(lo_top, lo_top.conj()) + (1.0 - alpha) * state
     attained = float(np.trace(m @ state).real)
     return EnergyConstrainedSup(value=value, state=state, attained=attained, multiplier=mu)

@@ -90,5 +90,8 @@ def load_json(path: str) -> dict:
 
 
 def dump_json(doc: dict) -> str:
-    """Deterministic rendering: sorted keys, explicit newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic rendering: sorted keys, explicit newline.
+
+    Raises ValueError on NaN or infinity, which JSON cannot represent.
+    """
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

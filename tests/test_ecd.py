@@ -23,6 +23,7 @@ from ecdnorm import (
     InfeasibleProblemError,
     diamond_upper_bound,
     ecd_objective,
+    energy_constrained_sup,
     estimate_diamond_norm,
     estimate_ecd_norm,
     state_truncation_bound,
@@ -118,6 +119,19 @@ def test_problem_validation():
         EcdProblem(the_map, Hamiltonian([0.0, 1.0]), 0.5)  # dim mismatch
     with pytest.raises(ValueError):
         EcdProblem(the_map, h, 1.0, r_dim=0)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+def test_non_finite_budget_is_rejected(budget):
+    rng = np.random.default_rng(44)
+    the_map, _, _ = _random_difference(rng, 3)
+    h = Hamiltonian([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        EcdProblem(the_map, h, budget)
+    with pytest.raises(ValueError, match="finite"):
+        EnergyCap(h, 3, budget)
+    with pytest.raises(ValueError, match="finite"):
+        energy_constrained_sup(h.matrix, h, budget)
 
 
 def test_first_level_seminorm_is_ground_state_norm():

@@ -6,16 +6,21 @@ import pytest
 
 from conftest import batch_difference_norms, ginibre_density, haar_vector, random_channel
 from ecdnorm import (
+    EcdProblem,
     EnergyCap,
     Hamiltonian,
     HermitianPreservingMap,
     TraceNormObjective,
+    TruncatedOscillator,
+    attenuator,
     diamond_upper_bound,
     energy_constrained_sup,
+    estimate_ecd_norm,
     golden_section_min,
     multistart_ascend,
     start_vectors,
 )
+from ecdnorm import optim
 from ecdnorm.optim import CAP_PROPOSAL_MAX_DIM, _capped_proposal, normalize
 
 
@@ -58,6 +63,32 @@ def test_energy_cap_projection():
             # feasible vectors pass through unchanged
             if cap.energy(psi) <= budget:
                 np.testing.assert_allclose(out, psi, atol=1e-12)
+    # infeasible vectors land on the budget inside span{ψ, ground direction},
+    # including vectors with no weight on the ground level (rn < 1e-12)
+    rng = np.random.default_rng(300)
+    checked = 0
+    for d, r in [(3, 1), (4, 2), (5, 3), (6, 4)]:
+        cap, h, budget = _random_cap(rng, d, r)
+        tau0 = h.eigenbasis[:, 0]
+        for trial in range(30):
+            m = haar_vector(rng, d * r).reshape(d, r)
+            if trial % 3 == 0:
+                m = m - np.outer(tau0, tau0.conj() @ m)
+                m /= np.linalg.norm(m)
+            psi = m.reshape(-1)
+            if cap.energy(psi) <= budget:
+                continue
+            profile = tau0.conj() @ m
+            if np.linalg.norm(profile) < 1e-12:
+                profile = np.eye(r)[0]
+            ground = np.outer(tau0, profile / np.linalg.norm(profile)).reshape(-1)
+            out = cap(psi)
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+            span = np.linalg.qr(np.column_stack([psi, ground]))[0]
+            assert np.linalg.norm(out - span @ (span.conj().T @ out)) < 1e-10
+            assert budget - 1e-12 * max(1.0, budget) <= cap.energy(out) <= budget
+            checked += 1
+    assert checked >= 40
 
 
 def test_energy_cap_kron_matrix():
@@ -133,7 +164,8 @@ def test_sign_shift_equals_diamond_upper_bound():
         assert abs(obj.sign_shift - diamond_upper_bound(diff)) < 1e-11
 
 
-def test_capped_proposal_is_feasible_and_improving():
+def _capped_cases():
+    """(objective expanded at a feasible point, cap, budget, dim, value there)."""
     rng = np.random.default_rng(37)
     for d, r in [(3, 2), (4, 1), (4, 2)]:
         assert d * r <= CAP_PROPOSAL_MAX_DIM
@@ -141,7 +173,15 @@ def test_capped_proposal_is_feasible_and_improving():
         cap, _, budget = _random_cap(rng, d, r)
         psi = cap(haar_vector(rng, d * r))
         f, _ = obj.value_and_grad(psi)
-        cand, mu = _capped_proposal(obj, cap, d * r, 0.0)
+        yield obj, cap, budget, d * r, f
+
+
+def test_capped_proposal_is_feasible_and_improving():
+    rng = np.random.default_rng(370)
+    for obj, cap, budget, dim, f in _capped_cases():
+        v = haar_vector(rng, dim)
+        np.testing.assert_allclose(obj.surrogate_matrix() @ v, obj.apply_sign(v), atol=1e-12)
+        cand, mu = _capped_proposal(obj, cap, dim, 0.0)
         assert mu >= 0.0
         assert cand is not None
         assert abs(np.linalg.norm(cand) - 1.0) < 1e-9
@@ -149,6 +189,81 @@ def test_capped_proposal_is_feasible_and_improving():
         # the proposal maximizes the surrogate, so it cannot fall below the
         # expansion point where the surrogate equals the objective
         assert obj.sign_value(cand) >= f - 1e-9
+
+
+def test_capped_proposal_eigensolve_count(monkeypatch):
+    calls = 0
+
+    def counted(solver):
+        def wrapper(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return solver(*args, **kwargs)
+
+        return wrapper
+
+    cases = list(_capped_cases())
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    for obj, cap, _, dim, _ in cases:
+        _capped_proposal(obj, cap, dim, 0.0)
+    assert calls / len(cases) <= 12
+
+
+def test_capped_proposals_never_score_below_current_point(monkeypatch):
+    """Every capped proposal on the 0.70/0.69 attenuator pair at 8 levels
+    reaches the surrogate value of the point it was made at."""
+    last = {}
+    value_and_grad = TraceNormObjective.value_and_grad
+    proposal = optim._capped_proposal
+    shortfalls = []
+
+    def recording_value_and_grad(self, psi):
+        out = value_and_grad(self, psi)
+        last["f"] = out[0]
+        return out
+
+    def recording_proposal(objective, cap, dim, mu_hint):
+        cand, mu = proposal(objective, cap, dim, mu_hint)
+        if cand is not None:
+            shortfalls.append(last["f"] - objective.sign_value(cand))
+        return cand, mu
+
+    monkeypatch.setattr(TraceNormObjective, "value_and_grad", recording_value_and_grad)
+    monkeypatch.setattr(optim, "_capped_proposal", recording_proposal)
+    d = 8
+    diff = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
+    problem = EcdProblem(diff, TruncatedOscillator(d, 1.0).hamiltonian, 3.0, r_dim=8)
+    estimate_ecd_norm(problem, restarts=1, seed=0, max_iter=15)
+    assert shortfalls
+    assert max(shortfalls) <= 1e-9, sorted(shortfalls)[-5:]
+
+
+def _grid_dual_minimum(m, h, budget, hi=8.0):
+    """min over μ ≥ 0 of λmax(m − μh) + μ·budget by repeatedly refined grids."""
+    lo = 0.0
+    for _ in range(6):
+        mus = np.linspace(lo, hi, 1001)
+        vals = np.linalg.eigvalsh(m[None] - mus[:, None, None] * h[None])[:, -1] + mus * budget
+        i = int(np.argmin(vals))
+        step = mus[1] - mus[0]
+        lo, hi = max(mus[i] - step, 0.0), mus[i] + step
+    return float(vals[i])
+
+
+@pytest.mark.parametrize(
+    "diag, multiplier",
+    [([0.0, 1.5, 2.0, 2.2], 1.5), ([3.0, 1.0, 0.0, -1.0], 0.0)],
+    ids=["kink", "zero-multiplier"],
+)
+def test_energy_constrained_sup_matches_grid_minimum(diag, multiplier):
+    # m commutes with H, so the dual is piecewise linear
+    h = Hamiltonian([0.0, 1.0, 2.0, 3.0])
+    m = np.diag(diag).astype(np.complex128)
+    res = energy_constrained_sup(m, h, 0.5)
+    assert abs(res.value - _grid_dual_minimum(m, h.matrix, 0.5)) < 1e-9
+    assert abs(res.multiplier - multiplier) < 1e-9
+    assert abs(res.value - res.attained) < 1e-9
 
 
 def test_energy_constrained_sup_budget_active():

@@ -106,6 +106,9 @@ def test_dump_json_deterministic():
     assert text == dump_json(doc)
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            dump_json({"x": bad})
 
 
 @pytest.fixture
@@ -176,6 +179,23 @@ def test_cli_validation_is_exit_2(workdir):
     assert res.returncode == 2
     res = run_cli("fbound", "--energy", "1.0")  # neither hamiltonian nor fhat
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "command, value",
+    [("ecd-norm", "nan"), ("ecd-norm", "inf"), ("bound", "inf"), ("gibbs", "nan")],
+)
+def test_cli_non_finite_energy_is_exit_2(workdir, command, value):
+    argv = {
+        "ecd-norm": ["ecd-norm", "--phi", str(workdir / "phi.json"), "--psi",
+                     str(workdir / "psi.json"), "--hamiltonian", str(workdir / "h.json")],
+        "bound": ["bound", "chi", "--eps", "0.1", "--fhat", "osc:1"],
+        "gibbs": ["gibbs", "--hamiltonian", str(workdir / "h.json")],
+    }[command]
+    res = run_cli(*argv, "--energy", value)
+    assert res.returncode == 2, res.stdout
+    assert res.stdout == ""
+    assert "finite" in res.stderr
 
 
 def test_cli_zoo_emits_valid_documents(tmp_path):
