@@ -7,19 +7,23 @@ Each bound has the shape
 where r = (1 + t/2)/(1 - εt) is the smoothing factor, F an entropy bound
 (an increasing concave upper bound on constrained max entropy), X the
 relevant energy scale, and t a free parameter in (0, 1/(2ε)] to minimize
-over. The six public bounds differ only in their coefficient triple, in the
-energy scale they expect, and in which side's Hamiltonian F refers to:
+over. The bounds are the rows of BOUND_KINDS; they differ only in their
+coefficient triple, in the energy scale they expect, and in which side's
+Hamiltonian F refers to. Each public name is an alias of its row:
 
-    holevo_quantity_bound      (1, 2, 2)   X = E   output side
-    mutual_info_bound          (2n, 2n, 4n) X = E  output side, n uses
-    holevo_capacity_bound      (1, 2, 2)   X = kE  output side
-    classical_capacity_bound   (2, 2, 4)   X = kE  output side
-    ea_capacity_bound_input    (2, 2, 4)   X = E   input side
-    ea_capacity_bound_output   (2, 2, 4)   X = kE  output side
+    chi        holevo_quantity_bound      (1, 2, 2)     X = E   output side
+    qmi        mutual_info_bound          (2n, 2n, 4n)  X = E   output side
+    cchi       holevo_capacity_bound      (1, 2, 2)     X = kE  output side
+    ccap       classical_capacity_bound   (2, 2, 4)     X = kE  output side
+    eacap-in   ea_capacity_bound_input    (2, 2, 4)     X = E   input side
+    eacap-out  ea_capacity_bound_output   (2, 2, 4)     X = kE  output side
 
-The premise in every case is that the two channels being compared are within
-2ε in the energy-constrained norm at the matching input energy; k is the
-energy gain factor of the channels.
+qmi bounds the difference of mutual informations after n = copies
+sequential channel uses, with X the mean of the per-step output energy caps.
+The input-side entanglement-assisted bound needs no energy gain factor, so
+arbitrary channels qualify. The premise in every case is that the two
+channels being compared are within 2ε in the energy-constrained norm at the
+matching input energy; k is the energy gain factor of the channels.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ class BoundInputs:
     """Arguments shared by all bound evaluations.
 
     energy_arg is the energy scale X fed to the entropy bound (E or kE
-    depending on the bound); copies only matters for mutual_info_bound.
+    depending on the bound); only the qmi bound accepts copies != 1.
     """
 
     epsilon: float
@@ -170,57 +174,54 @@ def _assemble(
     )
 
 
-def holevo_quantity_bound(inputs: BoundInputs, use_log_shift: bool = False) -> BoundValue:
-    """|χ(Φ(μ)) - χ(Ψ(μ))| over ensembles with bounded output energies."""
-    return _assemble(inputs, 1.0, 2.0, 2.0, use_log_shift)
+@dataclass(frozen=True)
+class BoundKind:
+    """One row of the bound table: the coefficients (c_main, c_g, c_h).
 
-
-def mutual_info_bound(inputs: BoundInputs, use_log_shift: bool = False) -> BoundValue:
-    """Difference of mutual informations after n sequential channel uses.
-
-    energy_arg is the mean of the per-step output energy caps; every term is
-    linear in copies, with the main and h2 terms carrying coefficient 2n and
-    4n and the g term 2n.
+    Called with BoundInputs (and use_log_shift) it evaluates the bound. Only
+    a kind that scales_with_copies accepts copies != 1; it multiplies every
+    coefficient by the number of copies.
     """
-    n = float(inputs.copies)
-    return _assemble(inputs, 2.0 * n, 2.0 * n, 4.0 * n, use_log_shift)
+
+    c_main: float
+    c_g: float
+    c_h: float
+    scales_with_copies: bool = False
+
+    def __call__(self, inputs: BoundInputs, use_log_shift: bool = False) -> BoundValue:
+        if self.scales_with_copies:
+            n = float(inputs.copies)
+            return _assemble(inputs, self.c_main * n, self.c_g * n, self.c_h * n, use_log_shift)
+        if inputs.copies != 1:
+            raise ValueError(f"this bound is single-copy; copies must be 1, got {inputs.copies}")
+        return _assemble(inputs, self.c_main, self.c_g, self.c_h, use_log_shift)
 
 
-def holevo_capacity_bound(inputs: BoundInputs, use_log_shift: bool = False) -> BoundValue:
-    """Holevo capacity difference; energy_arg is kE on the output side."""
-    return _assemble(inputs, 1.0, 2.0, 2.0, use_log_shift)
-
-
-def classical_capacity_bound(inputs: BoundInputs, use_log_shift: bool = False) -> BoundValue:
-    """Regularized classical capacity difference; main and h2 double."""
-    return _assemble(inputs, 2.0, 2.0, 4.0, use_log_shift)
-
-
-def ea_capacity_bound_input(inputs: BoundInputs, use_log_shift: bool = False) -> BoundValue:
-    """Entanglement-assisted capacity difference, input-side energies.
-
-    The entropy bound refers to the input Hamiltonian at energy_arg = E; no
-    energy gain factor is needed, and arbitrary channels qualify.
-    """
-    return _assemble(inputs, 2.0, 2.0, 4.0, use_log_shift)
-
-
-def ea_capacity_bound_output(inputs: BoundInputs, use_log_shift: bool = False) -> BoundValue:
-    """Entanglement-assisted capacity difference, output-side energies kE."""
-    return _assemble(inputs, 2.0, 2.0, 4.0, use_log_shift)
-
-
-BOUND_KINDS: dict[str, Callable[..., BoundValue]] = {
-    "chi": holevo_quantity_bound,
-    "qmi": mutual_info_bound,
-    "cchi": holevo_capacity_bound,
-    "ccap": classical_capacity_bound,
-    "eacap-in": ea_capacity_bound_input,
-    "eacap-out": ea_capacity_bound_output,
+BOUND_KINDS: dict[str, BoundKind] = {
+    "chi": BoundKind(1.0, 2.0, 2.0),
+    "qmi": BoundKind(2.0, 2.0, 4.0, scales_with_copies=True),
+    "cchi": BoundKind(1.0, 2.0, 2.0),
+    "ccap": BoundKind(2.0, 2.0, 4.0),
+    "eacap-in": BoundKind(2.0, 2.0, 4.0),
+    "eacap-out": BoundKind(2.0, 2.0, 4.0),
 }
+
+holevo_quantity_bound = BOUND_KINDS["chi"]
+mutual_info_bound = BOUND_KINDS["qmi"]
+holevo_capacity_bound = BOUND_KINDS["cchi"]
+classical_capacity_bound = BOUND_KINDS["ccap"]
+ea_capacity_bound_input = BOUND_KINDS["eacap-in"]
+ea_capacity_bound_output = BOUND_KINDS["eacap-out"]
 
 GRID_POINTS = 200
 T_FLOOR_SCALE = 1e-8
+
+
+def t_grid(epsilon: float, points: int) -> np.ndarray:
+    """Log-spaced values of t from T_FLOOR_SCALE/ε to 1/(2ε)."""
+    t_lo = T_FLOOR_SCALE / epsilon
+    t_hi = 1.0 / (2.0 * epsilon)
+    return np.exp(np.linspace(math.log(t_lo), math.log(t_hi), points))
 
 
 def optimize_t(
@@ -251,9 +252,7 @@ def optimize_t(
         )
         return bound_fn(inputs, use_log_shift).total
 
-    t_hi = 1.0 / (2.0 * epsilon)
-    t_lo = T_FLOOR_SCALE / epsilon
-    grid = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), grid_points))
+    grid = t_grid(epsilon, grid_points)
     totals = [total_at(float(t)) for t in grid]
     i = int(np.argmin(totals))
     a = math.log(grid[max(i - 1, 0)])

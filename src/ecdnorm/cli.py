@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -24,9 +24,11 @@ from .bounds import (
     OscillatorEntropyBound,
     ShiftedGibbsEntropyBound,
     optimize_t,
+    t_grid,
 )
 from .ecd import (
     EcdProblem,
+    embed_witness,
     estimate_diamond_norm,
     estimate_ecd_norm,
     subspace_seminorm,
@@ -121,6 +123,45 @@ def _vector_to_json(v: np.ndarray) -> list:
     return [[float(x.real), float(x.imag)] for x in v]
 
 
+PLUMBING = ("command", "handler", "out")
+SEEDED = ("restarts", "seed", "max_iter")
+
+
+def _config(args, omit=(), **resolved) -> dict:
+    """Echo the parsed arguments, without the plumbing and `omit`.
+
+    resolved overrides arguments whose default the handler filled in (or
+    adds values derived from them), so the echo shows what was computed.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in PLUMBING and k not in omit}
+    config.update(resolved)
+    return config
+
+
+def _document(args, result: dict, omit=(), **resolved) -> dict:
+    """A JSON document: the command, its echoed configuration and the result."""
+    return {"command": args.command, "config": _config(args, omit, **resolved), "result": result}
+
+
+def _fhat_echo(eb) -> dict:
+    """The saturation energy of a shifted entropy bound, echoed next to fhat."""
+    if isinstance(eb, ShiftedGibbsEntropyBound):
+        return {"fhat_saturation_energy": eb.saturation_energy}
+    return {}
+
+
+def _seeded(args) -> dict:
+    """The multi-start options of the ascents, as keyword arguments."""
+    return {name: getattr(args, name) for name in SEEDED}
+
+
+def _bracket_result(est) -> dict:
+    result = {"lower": est.lower, "upper": est.upper, "witness": _vector_to_json(est.witness)}
+    if est.witness_energy is not None:
+        result["witness_energy"] = est.witness_energy
+    return result
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -129,106 +170,44 @@ def _cmd_ecd_norm(args):
     the_map = _load_map(args)
     h = hamiltonian_from_json(load_json(args.hamiltonian))
     problem = EcdProblem(the_map, h, args.energy, r_dim=args.r_dim)
-    est = estimate_ecd_norm(
-        problem, restarts=args.restarts, seed=args.seed, max_iter=args.max_iter
-    )
-    return {
-        "command": "ecd-norm",
-        "config": {
-            "phi": args.phi,
-            "psi": args.psi,
-            "hamiltonian": args.hamiltonian,
-            "energy": args.energy,
-            "r_dim": problem.r_dim,
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "max_iter": args.max_iter,
-        },
-        "result": {
-            "lower": est.lower,
-            "upper": est.upper,
-            "witness_energy": est.witness_energy,
-            "witness": _vector_to_json(est.witness),
-        },
-    }
+    est = estimate_ecd_norm(problem, **_seeded(args))
+    return _document(args, _bracket_result(est), r_dim=problem.r_dim)
 
 
 def _cmd_diamond(args):
     the_map = _load_map(args)
-    est = estimate_diamond_norm(
-        the_map,
-        r_dim=args.r_dim,
-        restarts=args.restarts,
-        seed=args.seed,
-        max_iter=args.max_iter,
-    )
-    return {
-        "command": "diamond",
-        "config": {
-            "phi": args.phi,
-            "psi": args.psi,
-            "r_dim": args.r_dim or the_map.in_dim,
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "max_iter": args.max_iter,
-        },
-        "result": {
-            "lower": est.lower,
-            "upper": est.upper,
-            "witness": _vector_to_json(est.witness),
-        },
-    }
+    est = estimate_diamond_norm(the_map, r_dim=args.r_dim, **_seeded(args))
+    return _document(args, _bracket_result(est), r_dim=args.r_dim or the_map.in_dim)
 
 
 def _cmd_qn(args):
     the_map = _load_map(args)
     h = hamiltonian_from_json(load_json(args.hamiltonian))
-    value = subspace_seminorm(
-        the_map,
-        h,
-        args.levels,
-        restarts=args.restarts,
-        seed=args.seed,
-        max_iter=args.max_iter,
-    )
-    return {
-        "command": "qn",
-        "config": {
-            "phi": args.phi,
-            "psi": args.psi,
-            "hamiltonian": args.hamiltonian,
-            "levels": args.levels,
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "max_iter": args.max_iter,
-        },
-        "result": {"seminorm": value},
-    }
+    value = subspace_seminorm(the_map, h, args.levels, **_seeded(args))
+    return _document(args, {"seminorm": value})
 
 
 def _cmd_gibbs(args):
     h = hamiltonian_from_json(load_json(args.hamiltonian))
     sol = solve_gibbs(h, args.energy)
-    return {
-        "command": "gibbs",
-        "config": {"hamiltonian": args.hamiltonian, "energy": args.energy},
-        "result": {
+    return _document(
+        args,
+        {
             "lambda": sol.lam,
             "mean_energy": sol.mean_energy,
             "entropy": sol.entropy,
             "state": matrix_to_json(sol.state.matrix),
         },
-    }
+    )
 
 
 def _cmd_fbound(args):
     if not args.hamiltonian and not args.fhat:
         raise ValueError("fbound needs --hamiltonian and/or --fhat")
+    if args.energy is None and not args.energy_grid:
+        raise ValueError("fbound needs --energy or --energy-grid")
     h = hamiltonian_from_json(load_json(args.hamiltonian)) if args.hamiltonian else None
     eb = _entropy_bound_from_spec(args.fhat) if args.fhat else None
-    config = {"hamiltonian": args.hamiltonian, "fhat": args.fhat}
-    if isinstance(eb, ShiftedGibbsEntropyBound):
-        config["fhat_saturation_energy"] = eb.saturation_energy
     if args.energy_grid:
         lo, hi, num = args.energy_grid
         energies = np.linspace(lo, hi, num)
@@ -245,62 +224,38 @@ def _cmd_fbound(args):
             if eb is not None:
                 row.append(eb.at(float(e)))
             rows.append(row)
-        return Sweep(config, columns, rows)
+        return Sweep(_config(args, omit=("energy",), **_fhat_echo(eb)), columns, rows)
     result = {}
     if h is not None:
         result["max_entropy"] = max_entropy(h, args.energy)
     if eb is not None:
         result["entropy_bound"] = eb.at(args.energy)
-    config["energy"] = args.energy
-    return {"command": "fbound", "config": config, "result": result}
+    return _document(args, result, omit=("energy_grid",), **_fhat_echo(eb))
 
 
 def _cmd_chi(args):
     probs, states = ensemble_from_json(load_json(args.ensemble))
     value = holevo_quantity(Ensemble(probs, states))
-    return {
-        "command": "chi",
-        "config": {"ensemble": args.ensemble},
-        "result": {"holevo_quantity": value},
-    }
+    return _document(args, {"holevo_quantity": value})
 
 
 def _cmd_qmi(args):
     rho = density_from_json(load_json(args.state))
-    da, db = args.dims
-    value = mutual_information(rho, (da, db))
-    return {
-        "command": "qmi",
-        "config": {"state": args.state, "dims": list(args.dims)},
-        "result": {"mutual_information": value},
-    }
+    value = mutual_information(rho, tuple(args.dims))
+    return _document(args, {"mutual_information": value})
 
 
 def _cmd_cap_est(args):
     channel = channel_from_json(load_json(args.channel))
     h = hamiltonian_from_json(load_json(args.hamiltonian))
     value = holevo_capacity_estimate(
-        channel,
-        h,
-        args.energy,
-        ensemble_size=args.ensemble_size,
-        restarts=args.restarts,
-        seed=args.seed,
-        max_iter=args.max_iter,
+        channel, h, args.energy, ensemble_size=args.ensemble_size, **_seeded(args)
     )
-    return {
-        "command": "cap-est",
-        "config": {
-            "channel": args.channel,
-            "hamiltonian": args.hamiltonian,
-            "energy": args.energy,
-            "ensemble_size": args.ensemble_size or channel.in_dim,
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "max_iter": args.max_iter,
-        },
-        "result": {"capacity_lower_estimate": value},
-    }
+    return _document(
+        args,
+        {"capacity_lower_estimate": value},
+        ensemble_size=args.ensemble_size or channel.in_dim,
+    )
 
 
 def _cmd_energy_gain(args):
@@ -308,84 +263,43 @@ def _cmd_energy_gain(args):
     h_in = hamiltonian_from_json(load_json(args.h_in))
     h_out = hamiltonian_from_json(load_json(args.h_out))
     k = energy_gain(channel, h_in, h_out, args.energy)
-    return {
-        "command": "energy-gain",
-        "config": {
-            "channel": args.channel,
-            "h_in": args.h_in,
-            "h_out": args.h_out,
-            "energy": args.energy,
-        },
-        "result": {"energy_gain": k},
-    }
-
-
-def _bound_config(args) -> dict:
-    config = {
-        "kind": args.kind,
-        "eps": args.eps,
-        "energy": args.energy,
-        "fhat": args.fhat,
-        "copies": args.copies,
-        "log_shift": args.log_shift,
-    }
-    eb = _entropy_bound_from_spec(args.fhat)
-    if isinstance(eb, ShiftedGibbsEntropyBound):
-        config["fhat_saturation_energy"] = eb.saturation_energy
-    return config
+    return _document(args, {"energy_gain": k})
 
 
 def _cmd_bound(args):
+    if not args.sweep and (args.optimize_t or args.t is None):
+        return _cmd_optimize_t(args)
     eb = _entropy_bound_from_spec(args.fhat)
-    config = _bound_config(args)
+    bound = BOUND_KINDS[args.kind]
+
+    def at(t: float):
+        return bound(BoundInputs(args.eps, args.energy, t, eb, copies=args.copies), args.log_shift)
+
     if args.sweep:
-        t_hi = 1.0 / (2.0 * args.eps)
-        ts = np.exp(np.linspace(np.log(1e-8 / args.eps), np.log(t_hi), args.sweep))
         rows = []
-        for t in ts:
-            bv = BOUND_KINDS[args.kind](
-                BoundInputs(args.eps, args.energy, float(t), eb, copies=args.copies),
-                args.log_shift,
-            )
+        for t in t_grid(args.eps, args.sweep):
+            bv = at(float(t))
             rows.append([float(t), bv.total, bv.main_term, bv.g_term, bv.h2_term])
-        config["sweep"] = args.sweep
+        config = _config(args, omit=("t", "optimize_t"), **_fhat_echo(eb))
         return Sweep(config, ["t", "total", "main", "g", "h2"], rows)
-    if args.optimize_t or args.t is None:
-        t_star, bv = optimize_t(
-            args.kind,
-            args.eps,
-            args.energy,
-            eb,
-            copies=args.copies,
-            use_log_shift=args.log_shift,
-        )
-        config["t"] = "optimized"
-    else:
-        bv = BOUND_KINDS[args.kind](
-            BoundInputs(args.eps, args.energy, args.t, eb, copies=args.copies),
-            args.log_shift,
-        )
-        config["t"] = args.t
-    return {
-        "command": "bound",
-        "config": config,
-        "result": {
-            "total": bv.total,
-            "main_term": bv.main_term,
-            "g_term": bv.g_term,
-            "h2_term": bv.h2_term,
-            "t_used": bv.t_used,
-        },
-    }
+    return _document(
+        args, asdict(at(args.t)), omit=("optimize_t", "sweep"), **_fhat_echo(eb)
+    )
 
 
 def _cmd_optimize_t(args):
-    args.optimize_t = True
-    args.t = None
-    args.sweep = 0
-    doc = _cmd_bound(args)
-    doc["command"] = "optimize-t"
-    return doc
+    eb = _entropy_bound_from_spec(args.fhat)
+    _, bv = optimize_t(
+        args.kind,
+        args.eps,
+        args.energy,
+        eb,
+        copies=args.copies,
+        use_log_shift=args.log_shift,
+    )
+    return _document(
+        args, asdict(bv), omit=("optimize_t", "sweep"), t="optimized", **_fhat_echo(eb)
+    )
 
 
 def _cmd_zoo(args):
@@ -417,27 +331,9 @@ def _exp_strong_convergence(args):
     for theta in args.thetas:
         the_map = HermitianPreservingMap.difference(phase_rotation(args.levels, theta), ident)
         problem = EcdProblem(the_map, h, args.energy, r_dim=args.r_dim)
-        est = estimate_ecd_norm(
-            problem, restarts=args.restarts, seed=args.seed, max_iter=args.max_iter
-        )
+        est = estimate_ecd_norm(problem, **_seeded(args))
         rows.append([theta, est.lower, est.upper])
-    config = {
-        "experiment": "strong-convergence",
-        "levels": args.levels,
-        "energy": args.energy,
-        "r_dim": args.r_dim,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "max_iter": args.max_iter,
-    }
-    return Sweep(config, ["theta", "ecd_lower", "ecd_upper"], rows)
-
-
-def _embed_witness(witness: np.ndarray, d_small: int, d_large: int) -> np.ndarray:
-    """Zero-pad an input x reference coefficient matrix into a larger space."""
-    m = np.zeros((d_large, d_large), dtype=np.complex128)
-    m[:d_small, :d_small] = witness.reshape(d_small, d_small)
-    return m.reshape(-1)
+    return ["theta", "ecd_lower", "ecd_upper"], rows
 
 
 def _exp_attenuator_pair(args):
@@ -451,35 +347,14 @@ def _exp_attenuator_pair(args):
         # chaining the previous witness keeps the estimates monotone in d:
         # the attenuator pair restricted to the low levels is the smaller pair
         if prev_d is not None:
-            dia_warm = [_embed_witness(dia_warm[0], prev_d, d)]
-            ecd_warm = [_embed_witness(ecd_warm[0], prev_d, d)]
-        dia = estimate_diamond_norm(
-            the_map,
-            restarts=args.restarts,
-            seed=args.seed,
-            extra_starts=dia_warm,
-            max_iter=args.max_iter,
-        )
+            dia_warm = [embed_witness(dia_warm[0], prev_d, d)]
+            ecd_warm = [embed_witness(ecd_warm[0], prev_d, d)]
+        dia = estimate_diamond_norm(the_map, extra_starts=dia_warm, **_seeded(args))
         problem = EcdProblem(the_map, h, args.energy)
-        ecd = estimate_ecd_norm(
-            problem,
-            restarts=args.restarts,
-            seed=args.seed,
-            extra_starts=ecd_warm,
-            max_iter=args.max_iter,
-        )
+        ecd = estimate_ecd_norm(problem, extra_starts=ecd_warm, **_seeded(args))
         rows.append([d, dia.lower, dia.upper, ecd.lower, ecd.upper])
         dia_warm, ecd_warm, prev_d = [dia.witness], [ecd.witness], d
-    config = {
-        "experiment": "attenuator-pair",
-        "eta1": args.eta1,
-        "eta2": args.eta2,
-        "energy": args.energy,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "max_iter": args.max_iter,
-    }
-    return Sweep(config, ["levels", "diamond_lower", "diamond_upper", "ecd_lower", "ecd_upper"], rows)
+    return ["levels", "diamond_lower", "diamond_upper", "ecd_lower", "ecd_upper"], rows
 
 
 def _exp_tightness_cchi(args):
@@ -487,35 +362,18 @@ def _exp_tightness_cchi(args):
     h = TruncatedOscillator(d, 1.0).hamiltonian
     ident = identity_channel(d)
     depol = depolarize_to(vacuum_state(d), 1.0)
-    cap_id = holevo_capacity_estimate(
-        ident, h, args.energy, restarts=args.restarts, seed=args.seed,
-        max_iter=args.max_iter,
-    )
-    cap_depol = holevo_capacity_estimate(
-        depol, h, args.energy, restarts=args.restarts, seed=args.seed,
-        max_iter=args.max_iter,
-    )
+    cap_id = holevo_capacity_estimate(ident, h, args.energy, **_seeded(args))
+    cap_depol = holevo_capacity_estimate(depol, h, args.energy, **_seeded(args))
     f_value = max_entropy(h, args.energy)
     eb = OscillatorEntropyBound(HarmonicModes((1.0,)))
     t_star, bv = optimize_t("cchi", 1.0, args.energy, eb)
     return {
-        "command": "experiment",
-        "config": {
-            "experiment": "tightness-cchi",
-            "levels": d,
-            "energy": args.energy,
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "max_iter": args.max_iter,
-        },
-        "result": {
-            "capacity_identity": cap_id,
-            "capacity_depolarizer": cap_depol,
-            "capacity_difference": abs(cap_id - cap_depol),
-            "max_entropy": f_value,
-            "bound_total_eps1": bv.total,
-            "bound_t_star": t_star,
-        },
+        "capacity_identity": cap_id,
+        "capacity_depolarizer": cap_depol,
+        "capacity_difference": abs(cap_id - cap_depol),
+        "max_entropy": f_value,
+        "bound_total_eps1": bv.total,
+        "bound_t_star": t_star,
     }
 
 
@@ -527,13 +385,9 @@ def _exp_tightness_ea(args):
     cea_depol = channel_mutual_information(depolarize_to(vacuum_state(d), 1.0), gibbs)
     f_value = max_entropy(h, args.energy)
     return {
-        "command": "experiment",
-        "config": {"experiment": "tightness-ea", "levels": d, "energy": args.energy},
-        "result": {
-            "ea_identity": cea_id,
-            "ea_depolarizer": cea_depol,
-            "twice_max_entropy": 2.0 * f_value,
-        },
+        "ea_identity": cea_id,
+        "ea_depolarizer": cea_depol,
+        "twice_max_entropy": 2.0 * f_value,
     }
 
 
@@ -541,45 +395,39 @@ def _exp_truncation_ladder(args):
     d = args.levels
     h = TruncatedOscillator(d, 1.0).hamiltonian
     the_map = HermitianPreservingMap.difference(attenuator(d, args.eta1), attenuator(d, args.eta2))
-    problem = EcdProblem(the_map, h, args.energy)
-    ecd = estimate_ecd_norm(
-        problem, restarts=args.restarts, seed=args.seed, max_iter=args.max_iter
-    )
+    ecd = estimate_ecd_norm(EcdProblem(the_map, h, args.energy), **_seeded(args))
     rows = []
     for n in range(1, d + 1):
-        q = subspace_seminorm(
-            the_map, h, n, restarts=args.restarts, seed=args.seed, max_iter=args.max_iter
-        )
-        bound = truncation_norm_bound(
-            the_map, h, args.energy, n,
-            restarts=args.restarts, seed=args.seed, max_iter=args.max_iter,
-        )
+        q = subspace_seminorm(the_map, h, n, **_seeded(args))
+        bound = truncation_norm_bound(the_map, h, args.energy, n, **_seeded(args))
         level = float(h.eigenvalues[n] if n < d else h.eigenvalues[-1])
         rows.append([n, level, q, bound, ecd.lower])
-    config = {
-        "experiment": "truncation-ladder",
-        "levels": d,
-        "eta1": args.eta1,
-        "eta2": args.eta2,
-        "energy": args.energy,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "max_iter": args.max_iter,
-    }
-    return Sweep(config, ["n", "next_level_energy", "qn", "trunc_bound", "ecd_lower"], rows)
+    return ["n", "next_level_energy", "qn", "trunc_bound", "ecd_lower"], rows
 
 
+# recipe name -> (recipe, the arguments it reads); a recipe returns a result
+# dict (JSON) or (columns, rows) (CSV)
 EXPERIMENTS = {
-    "strong-convergence": _exp_strong_convergence,
-    "attenuator-pair": _exp_attenuator_pair,
-    "tightness-cchi": _exp_tightness_cchi,
-    "tightness-ea": _exp_tightness_ea,
-    "truncation-ladder": _exp_truncation_ladder,
+    "strong-convergence": (
+        _exp_strong_convergence, ("levels", "energy", "thetas", "r_dim", *SEEDED)
+    ),
+    "attenuator-pair": (_exp_attenuator_pair, ("dims", "eta1", "eta2", "energy", *SEEDED)),
+    "tightness-cchi": (_exp_tightness_cchi, ("levels", "energy", *SEEDED)),
+    "tightness-ea": (_exp_tightness_ea, ("levels", "energy")),
+    "truncation-ladder": (
+        _exp_truncation_ladder, ("levels", "eta1", "eta2", "energy", *SEEDED)
+    ),
 }
 
 
 def _cmd_experiment(args):
-    return EXPERIMENTS[args.name](args)
+    """Run a recipe on just the arguments it declares, which are echoed."""
+    recipe, reads = EXPERIMENTS[args.name]
+    config = _config(args, omit=vars(args).keys() - set(reads), experiment=args.name)
+    payload = recipe(argparse.Namespace(**config))
+    if isinstance(payload, dict):
+        return {"command": args.command, "config": config, "result": payload}
+    return Sweep(config, *payload)
 
 
 # ---------------------------------------------------------------------------
@@ -597,26 +445,45 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _count(minimum: int):
+    """An integer option type; values below minimum are rejected with exit 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum of {minimum}")
+        return value
+
+    return parse
+
+
+_positive = _count(1)
+_non_negative = _count(0)
+
+
 def _csv_floats(text: str) -> list[float]:
     return [_finite_float(x) for x in text.split(",")]
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+def _csv_counts(text: str) -> list[int]:
+    return [_positive(x) for x in text.split(",")]
 
 
-def _dims_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
+def _dims_pair(text: str) -> list[int]:
+    dims = _csv_counts(text)
+    if len(dims) != 2:
         raise argparse.ArgumentTypeError("dims must look like dA,dB")
-    return int(parts[0]), int(parts[1])
+    return dims
 
 
-def _grid_spec(text: str) -> tuple[float, float, int]:
+def _grid_spec(text: str) -> list:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must look like lo:hi:num")
-    return _finite_float(parts[0]), _finite_float(parts[1]), int(parts[2])
+    return [_finite_float(parts[0]), _finite_float(parts[1]), int(parts[2])]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,23 +496,23 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, *, seeded=True):
         p.add_argument("--out", default=None, help="output file (default stdout)")
         if seeded:
-            p.add_argument("--restarts", type=int, default=32)
+            p.add_argument("--restarts", type=_positive, default=32)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--max-iter", type=int, default=2000)
+            p.add_argument("--max-iter", type=_non_negative, default=2000)
 
     p = sub.add_parser("ecd-norm", help="bracket the energy-constrained norm of a channel difference")
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", default=None)
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--energy", type=_finite_float, required=True)
-    p.add_argument("--r-dim", type=int, default=None)
+    p.add_argument("--r-dim", type=_positive, default=None)
     add_common(p)
     p.set_defaults(handler=_cmd_ecd_norm)
 
     p = sub.add_parser("diamond", help="bracket the unconstrained diamond norm")
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", default=None)
-    p.add_argument("--r-dim", type=int, default=None)
+    p.add_argument("--r-dim", type=_positive, default=None)
     add_common(p)
     p.set_defaults(handler=_cmd_diamond)
 
@@ -653,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", default=None)
     p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", type=_positive, required=True)
     add_common(p)
     p.set_defaults(handler=_cmd_qn)
 
@@ -686,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True)
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--energy", type=_finite_float, required=True)
-    p.add_argument("--ensemble-size", type=int, default=None)
+    p.add_argument("--ensemble-size", type=_positive, default=None)
     add_common(p)
     p.set_defaults(handler=_cmd_cap_est)
 
@@ -704,12 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=_finite_float, required=True)
         p.add_argument("--energy", type=_finite_float, required=True)
         p.add_argument("--fhat", required=True, help="osc:W1[,W2..] or shifted:PATH")
-        p.add_argument("--copies", type=int, default=1)
+        p.add_argument("--copies", type=_positive, default=1)
         p.add_argument("--log-shift", action="store_true")
         if name == "bound":
             p.add_argument("--t", type=_finite_float, default=None)
             p.add_argument("--optimize-t", action="store_true")
-            p.add_argument("--sweep", type=int, default=0, help="emit a CSV sweep over t")
+            p.add_argument("--sweep", type=_non_negative, default=0, help="emit a CSV sweep over t")
         add_common(p, seeded=False)
         p.set_defaults(handler=handler)
 
@@ -724,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
             "oscillator-hamiltonian",
         ],
     )
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", type=_positive, required=True)
     p.add_argument("--theta", type=_finite_float, default=0.0)
     p.add_argument("--eta", type=_finite_float, default=1.0)
     p.add_argument("--p", type=_finite_float, default=1.0)
@@ -734,20 +601,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named experiment recipe")
     p.add_argument("name", choices=sorted(EXPERIMENTS))
-    p.add_argument("--levels", type=int, default=16)
+    p.add_argument("--levels", type=_positive, default=16)
     p.add_argument("--energy", type=_finite_float, default=2.0)
     p.add_argument(
         "--thetas",
         type=_csv_floats,
         default=[0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002],
     )
-    p.add_argument("--r-dim", type=int, default=1)
-    p.add_argument("--dims", type=_csv_ints, default=[8, 16, 24])
+    p.add_argument("--r-dim", type=_positive, default=1)
+    p.add_argument("--dims", type=_csv_counts, default=[8, 16, 24])
     p.add_argument("--eta1", type=_finite_float, default=0.70)
     p.add_argument("--eta2", type=_finite_float, default=0.69)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_positive, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=250)
+    p.add_argument("--max-iter", type=_non_negative, default=250)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_experiment)
 

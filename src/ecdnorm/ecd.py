@@ -9,7 +9,8 @@ together with its witness; the upper side of the bracket is the cheapest of
 several rigorous certificates (Choi-based diamond bound, the generic 2 for
 channel differences, tail-truncation ladders, and a Stinespring-alignment
 bound for channel differences). Estimates never exceed certificates, so the
-pair brackets the true norm.
+pair brackets the true norm. The unconstrained diamond norm is the member of
+the family with no energy cap, bracketed by the same routine.
 """
 
 from __future__ import annotations
@@ -35,11 +36,18 @@ from .optim import (
     check_energy_budget,
     energy_constrained_sup,
     multistart_ascend,
-    normalize,
     start_vectors,
 )
 
 ZERO_MAP_TOL = 1e-14
+
+
+def _reference_dim(the_map: HermitianPreservingMap, r_dim: int | None) -> int:
+    """The reference dimension, the input dimension when None; at least 1."""
+    r_dim = the_map.in_dim if r_dim is None else int(r_dim)
+    if r_dim < 1:
+        raise ValueError("reference dimension must be at least 1")
+    return r_dim
 
 
 @dataclass(frozen=True)
@@ -59,30 +67,28 @@ class EcdProblem:
         if self.map.in_dim != self.h_in.dimension:
             raise ValueError("map input dimension does not match the Hamiltonian")
         check_energy_budget(self.h_in, self.energy)
-        if self.r_dim is None:
-            object.__setattr__(self, "r_dim", self.map.in_dim)
-        elif self.r_dim < 1:
-            raise ValueError("reference dimension must be at least 1")
+        object.__setattr__(self, "r_dim", _reference_dim(self.map, self.r_dim))
 
 
 @dataclass(frozen=True)
 class EcdEstimate:
-    """Bracket [lower, upper] with the witness attaining the lower value."""
+    """Bracket [lower, upper] with the witness attaining the lower value.
+
+    witness_energy is None for the unconstrained norm, which has no cap.
+    """
 
     lower: float
     upper: float
     witness: np.ndarray
-    witness_energy: float
+    witness_energy: float | None
 
     def __post_init__(self):
         if not 0.0 <= self.lower <= self.upper + 1e-9:
             raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
 
 
-def _objective(problem: EcdProblem) -> TraceNormObjective:
-    return TraceNormObjective(
-        problem.map.choi, problem.map.in_dim, problem.map.out_dim, problem.r_dim
-    )
+def _objective(the_map: HermitianPreservingMap, r_dim: int) -> TraceNormObjective:
+    return TraceNormObjective(the_map.choi, the_map.in_dim, the_map.out_dim, r_dim)
 
 
 def ecd_objective(problem: EcdProblem, psi) -> float:
@@ -95,7 +101,7 @@ def ecd_objective(problem: EcdProblem, psi) -> float:
     cap = EnergyCap(problem.h_in, problem.r_dim, problem.energy)
     if cap.energy(psi) > problem.energy + 1e-9:
         raise ValueError("witness violates the energy budget")
-    return _objective(problem).value(psi)
+    return _objective(problem.map, problem.r_dim).value(psi)
 
 
 def diamond_upper_bound(the_map: HermitianPreservingMap) -> float:
@@ -173,6 +179,65 @@ def _truncation_ladder_bound(
     return best
 
 
+def embed_witness(witness: np.ndarray, d_small: int, d_large: int) -> np.ndarray:
+    """Zero-pad an input x reference coefficient matrix into a larger space.
+
+    Used as an extra start on d_large levels when the map on d_small levels
+    is its restriction to the low levels (the attenuator ladder).
+    """
+    m = np.zeros((d_large, d_large), dtype=np.complex128)
+    m[:d_small, :d_small] = witness.reshape(d_small, d_small)
+    return m.reshape(-1)
+
+
+def _estimate(
+    the_map: HermitianPreservingMap,
+    r_dim: int,
+    problem: EcdProblem | None,
+    restarts: int,
+    seed: int,
+    extra_starts,
+    max_iter: int,
+) -> EcdEstimate:
+    """Bracket the norm of the map under the energy cap of problem, or none.
+
+    The lower value is the best objective over `restarts` deterministic
+    multi-start ascents plus any extra_starts; the upper value is the minimum
+    over the rigorous certificates. The Choi diamond bound (and the generic 2
+    for channel differences) holds with or without a cap; the aligned
+    Stinespring bound and the truncation ladder need one.
+    """
+    cap = None if problem is None else EnergyCap(problem.h_in, r_dim, problem.energy)
+    if float(np.max(np.abs(the_map.choi))) < ZERO_MAP_TOL:
+        start = start_vectors(the_map.in_dim, r_dim, 1, seed)[0]
+        lower = upper = 0.0
+        witness = start if cap is None else cap(start)
+    else:
+        lower, witness = multistart_ascend(
+            _objective(the_map, r_dim),
+            the_map.in_dim,
+            r_dim,
+            restarts,
+            seed,
+            project=cap,
+            extra_starts=extra_starts,
+            max_iter=max_iter,
+        )
+        upper = diamond_upper_bound(the_map)
+        if the_map.kraus_pair is not None:
+            upper = min(upper, 2.0)
+        if problem is not None:
+            global_bound = upper
+            if the_map.kraus_pair is not None:
+                upper = min(
+                    upper,
+                    _aligned_stinespring_bound(the_map.kraus_pair, problem.h_in, problem.energy),
+                )
+            upper = _truncation_ladder_bound(problem, global_bound, upper)
+    witness_energy = None if cap is None else cap.energy(witness)
+    return EcdEstimate(lower, upper, witness, witness_energy)
+
+
 def estimate_ecd_norm(
     problem: EcdProblem,
     restarts: int = 32,
@@ -182,51 +247,13 @@ def estimate_ecd_norm(
 ) -> EcdEstimate:
     """Bracket the energy-constrained norm of the map in the problem.
 
-    The lower value is the best objective over `restarts` deterministic
-    multi-start ascents (plus any extra_starts, e.g. witnesses from smaller
-    budgets); the upper value is the minimum over the available rigorous
-    certificates. Restart r draws its start from a generator keyed by
-    (seed, r), so results do not depend on scheduling order.
+    Restart r draws its start from a generator keyed by (seed, r), so results
+    do not depend on scheduling order. extra_starts are added starts, e.g.
+    witnesses from smaller budgets or, through `embed_witness`, fewer levels.
     """
-    the_map = problem.map
-    cap = EnergyCap(problem.h_in, problem.r_dim, problem.energy)
-    if float(np.max(np.abs(the_map.choi))) < ZERO_MAP_TOL:
-        witness = cap(start_vectors(the_map.in_dim, problem.r_dim, 1, seed)[0])
-        return EcdEstimate(0.0, 0.0, witness, cap.energy(witness))
-    lower, witness = multistart_ascend(
-        _objective(problem),
-        the_map.in_dim,
-        problem.r_dim,
-        restarts,
-        seed,
-        project=cap,
-        extra_starts=extra_starts,
-        max_iter=max_iter,
+    return _estimate(
+        problem.map, problem.r_dim, problem, restarts, seed, extra_starts, max_iter
     )
-    dub = diamond_upper_bound(the_map)
-    global_bound = min(dub, 2.0) if the_map.kraus_pair is not None else dub
-    upper = global_bound
-    if the_map.kraus_pair is not None:
-        upper = min(
-            upper,
-            _aligned_stinespring_bound(the_map.kraus_pair, problem.h_in, problem.energy),
-        )
-    upper = _truncation_ladder_bound(problem, global_bound, upper)
-    upper = max(upper, lower)
-    return EcdEstimate(lower, upper, witness, cap.energy(witness))
-
-
-@dataclass(frozen=True)
-class DiamondEstimate:
-    """Unconstrained diamond-norm bracket."""
-
-    lower: float
-    upper: float
-    witness: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper + 1e-9:
-            raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
 
 
 def estimate_diamond_norm(
@@ -236,26 +263,11 @@ def estimate_diamond_norm(
     seed: int = 0,
     extra_starts=None,
     max_iter: int = MAX_ITER,
-) -> DiamondEstimate:
-    """Same ascent as the constrained estimator, with the energy cap removed."""
-    r_dim = the_map.in_dim if r_dim is None else int(r_dim)
-    if float(np.max(np.abs(the_map.choi))) < ZERO_MAP_TOL:
-        return DiamondEstimate(0.0, 0.0, start_vectors(the_map.in_dim, r_dim, 1, seed)[0])
-    objective = TraceNormObjective(the_map.choi, the_map.in_dim, the_map.out_dim, r_dim)
-    lower, witness = multistart_ascend(
-        objective,
-        the_map.in_dim,
-        r_dim,
-        restarts,
-        seed,
-        extra_starts=extra_starts,
-        max_iter=max_iter,
+) -> EcdEstimate:
+    """The unconstrained member of the family: the same bracket with no energy cap."""
+    return _estimate(
+        the_map, _reference_dim(the_map, r_dim), None, restarts, seed, extra_starts, max_iter
     )
-    upper = diamond_upper_bound(the_map)
-    if the_map.kraus_pair is not None:
-        upper = min(upper, 2.0)
-    upper = max(upper, lower)
-    return DiamondEstimate(lower, upper, witness)
 
 
 def subspace_seminorm(
@@ -276,7 +288,6 @@ def subspace_seminorm(
     if h_in.dimension != the_map.in_dim:
         raise ValueError("Hamiltonian dimension does not match the map input")
     small = _compressed_map(the_map, h_in.lowest_levels(n))
-    r_dim = n if r_dim is None else int(r_dim)
     est = estimate_diamond_norm(small, r_dim=r_dim, restarts=restarts, seed=seed, max_iter=max_iter)
     return est.lower
 

@@ -29,6 +29,7 @@ from ecdnorm import (
     depolarize_to,
     ea_capacity_bound_input,
     ea_capacity_bound_output,
+    embed_witness,
     energy,
     estimate_diamond_norm,
     estimate_ecd_norm,
@@ -234,11 +235,6 @@ def test_criterion_7_strong_convergence_vs_diamond_rigidity():
     assert np.all(np.diff(lowers) < 0.0), lowers
     assert lowers[-1] < 0.05, lowers[-1]
 
-    def embed(witness, d_small, d_large):
-        m = np.zeros((d_large, d_large), dtype=np.complex128)
-        m[:d_small, :d_small] = witness.reshape(d_small, d_small)
-        return m.reshape(-1)
-
     dia_lowers = []
     ecd_lowers = []
     ecd_upper_max = 0.0
@@ -251,14 +247,14 @@ def test_criterion_7_strong_convergence_vs_diamond_rigidity():
             diff,
             restarts=2,
             seed=0,
-            extra_starts=[embed(dia_w, prev_d, dim)] if prev_d else None,
+            extra_starts=[embed_witness(dia_w, prev_d, dim)] if prev_d else None,
             max_iter=250,
         )
         est = estimate_ecd_norm(
             EcdProblem(diff, hd, budget),
             restarts=2,
             seed=0,
-            extra_starts=[embed(ecd_w, prev_d, dim)] if prev_d else None,
+            extra_starts=[embed_witness(ecd_w, prev_d, dim)] if prev_d else None,
             max_iter=250,
         )
         dia_lowers.append(dia.lower)

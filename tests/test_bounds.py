@@ -183,3 +183,17 @@ def test_optimize_t_with_log_shift():
     assert 0.0 < t_star <= 1.0 / 0.04
     plain = optimize_t("chi", 0.02, 1.0, OSC)[1].total
     assert best.total >= plain - 1e-12
+
+
+def test_copies_only_for_the_scaling_kind():
+    assert [k for k, b in BOUND_KINDS.items() if b.scales_with_copies] == ["qmi"]
+    inputs = BoundInputs(0.1, 1.0, 1.0, OSC, copies=5)
+    for kind, bound in BOUND_KINDS.items():
+        if kind == "qmi":
+            one = bound(BoundInputs(0.1, 1.0, 1.0, OSC)).total
+            assert abs(bound(inputs).total - 5.0 * one) <= 1e-12 * one
+        else:
+            with pytest.raises(ValueError, match="copies"):
+                bound(inputs)
+    with pytest.raises(ValueError, match="copies"):
+        optimize_t("chi", 0.1, 1.0, OSC, copies=5)

@@ -16,6 +16,7 @@ from conftest import (
 from ecdnorm import (
     Channel,
     DensityOperator,
+    EcdEstimate,
     EcdProblem,
     EnergyCap,
     Hamiltonian,
@@ -26,6 +27,8 @@ from ecdnorm import (
     energy_constrained_sup,
     estimate_diamond_norm,
     estimate_ecd_norm,
+    identity_channel,
+    phase_rotation,
     state_truncation_bound,
     subspace_seminorm,
     trace_norm,
@@ -79,7 +82,10 @@ def test_identity_minus_dephasing_at_maximal_entanglement():
     assert abs(ecd_objective(problem, psi) - 1.0) < 1e-12
     est = estimate_ecd_norm(problem, restarts=4, max_iter=200)
     assert abs(est.lower - 1.0) < 1e-9
-    assert est.upper >= est.lower
+    # both sides sit at the norm 1 to rounding: lower ends 9e-16 above it and
+    # the winning certificate 2e-16 below
+    assert abs(est.upper - 1.0) < 1e-9
+    assert est.upper >= est.lower - 1e-12
 
 
 def test_objective_matches_direct_kraus_route():
@@ -119,6 +125,8 @@ def test_problem_validation():
         EcdProblem(the_map, Hamiltonian([0.0, 1.0]), 0.5)  # dim mismatch
     with pytest.raises(ValueError):
         EcdProblem(the_map, h, 1.0, r_dim=0)
+    with pytest.raises(ValueError, match="reference dimension"):
+        estimate_diamond_norm(the_map, r_dim=0)
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
@@ -314,3 +322,19 @@ def test_diamond_upper_bound_dominates_lower_estimate():
         dia = estimate_diamond_norm(the_map, restarts=4, max_iter=250)
         assert dia.lower <= dia.upper + 1e-12
         assert diamond_upper_bound(the_map) >= dia.lower - 1e-9
+
+
+def test_lower_above_certificate_by_rounding_keeps_the_certificate():
+    """The ascent may exceed a certificate by rounding; upper stays the certificate.
+
+    The map and ascent settings are the phase-vs-identity task at 10 levels of
+    the benchmark's lanczos-zoo pool, where lower ends at 2 + 4e-16.
+    """
+    d, theta = 10, 0.7597589414844461
+    the_map = HermitianPreservingMap.difference(phase_rotation(d, theta), identity_channel(d))
+    est = estimate_diamond_norm(the_map, r_dim=d, restarts=1, seed=2, max_iter=15)
+    assert est.upper == 2.0
+    assert est.lower - est.upper <= 1e-9
+    assert est.witness_energy is None
+    with pytest.raises(ValueError, match="invalid bracket"):
+        EcdEstimate(1.0, 0.5, est.witness, None)

@@ -1,5 +1,7 @@
 """JSON schemas and the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 
 from conftest import ginibre_density, random_channel
 from ecdnorm import (
+    DensityOperator,
     Hamiltonian,
     OscillatorEntropyBound,
     HarmonicModes,
@@ -28,6 +31,7 @@ from ecdnorm.serialize import (
     matrix_from_json,
     matrix_to_json,
 )
+from ecdnorm.cli import main
 
 
 def run_cli(*argv, cwd=None):
@@ -179,6 +183,13 @@ def test_cli_validation_is_exit_2(workdir):
     assert res.returncode == 2
     res = run_cli("fbound", "--energy", "1.0")  # neither hamiltonian nor fhat
     assert res.returncode == 2
+    res = run_cli("fbound", "--fhat", "osc:1")  # neither energy nor grid
+    assert res.returncode == 2
+    res = run_cli(
+        "bound", "chi", "--eps", "0.1", "--energy", "1", "--t", "1", "--fhat", "osc:1",
+        "--copies", "5",
+    )
+    assert res.returncode == 2 and "copies" in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -303,3 +314,147 @@ def test_cli_experiment_smoke(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["result"]["ea_depolarizer"] < 1e-9
     assert abs(doc["result"]["ea_identity"] - doc["result"]["twice_max_entropy"]) < 1e-6
+
+
+FAST = ("--restarts", "1", "--max-iter", "5")
+SEEDED = {"restarts": 1, "seed": 0, "max_iter": 5}
+# subcommand or recipe -> (argv with {w} for the work directory, echoed config);
+# a CSV header is pinned as its key=value strings
+CONFIG_ECHO = {
+    "ecd-norm": (
+        ["ecd-norm", "--phi", "{w}/phi.json", "--psi", "{w}/psi.json",
+         "--hamiltonian", "{w}/h.json", "--energy", "1.0", *FAST],
+        {"phi": "{w}/phi.json", "psi": "{w}/psi.json", "hamiltonian": "{w}/h.json",
+         "energy": 1.0, "r_dim": 3, **SEEDED},
+    ),
+    "diamond": (
+        ["diamond", "--phi", "{w}/phi.json", *FAST],
+        {"phi": "{w}/phi.json", "psi": None, "r_dim": 3, **SEEDED},
+    ),
+    "qn": (
+        ["qn", "--phi", "{w}/phi.json", "--psi", "{w}/psi.json",
+         "--hamiltonian", "{w}/h.json", "--levels", "2", *FAST],
+        {"phi": "{w}/phi.json", "psi": "{w}/psi.json", "hamiltonian": "{w}/h.json",
+         "levels": 2, **SEEDED},
+    ),
+    "gibbs": (
+        ["gibbs", "--hamiltonian", "{w}/h.json", "--energy", "0.8"],
+        {"hamiltonian": "{w}/h.json", "energy": 0.8},
+    ),
+    "fbound": (
+        ["fbound", "--hamiltonian", "{w}/h.json", "--fhat", "shifted:{w}/h.json", "--energy", "0.8"],
+        {"hamiltonian": "{w}/h.json", "fhat": "shifted:{w}/h.json",
+         "fhat_saturation_energy": 1.0, "energy": 0.8},
+    ),
+    "fbound-grid": (
+        ["fbound", "--fhat", "osc:1", "--energy-grid", "0.5:2:3"],
+        {"fhat": "osc:1", "hamiltonian": "None", "energy_grid": "[0.5, 2.0, 3]"},
+    ),
+    "chi": (["chi", "--ensemble", "{w}/ens.json"], {"ensemble": "{w}/ens.json"}),
+    "qmi": (
+        ["qmi", "--state", "{w}/rho.json", "--dims", "2,2"],
+        {"state": "{w}/rho.json", "dims": [2, 2]},
+    ),
+    "cap-est": (
+        ["cap-est", "--channel", "{w}/phi.json", "--hamiltonian", "{w}/h.json",
+         "--energy", "0.8", *FAST],
+        {"channel": "{w}/phi.json", "hamiltonian": "{w}/h.json", "energy": 0.8,
+         "ensemble_size": 3, **SEEDED},
+    ),
+    "energy-gain": (
+        ["energy-gain", "--channel", "{w}/phi.json", "--h-in", "{w}/h.json",
+         "--h-out", "{w}/h.json", "--energy", "0.8"],
+        {"channel": "{w}/phi.json", "h_in": "{w}/h.json", "h_out": "{w}/h.json", "energy": 0.8},
+    ),
+    "bound-fixed-t": (
+        ["bound", "qmi", "--eps", "0.1", "--energy", "1.0", "--fhat", "osc:1",
+         "--t", "1.0", "--copies", "2"],
+        {"kind": "qmi", "eps": 0.1, "energy": 1.0, "fhat": "osc:1", "copies": 2,
+         "log_shift": False, "t": 1.0},
+    ),
+    "bound-optimized": (
+        ["bound", "chi", "--eps", "0.1", "--energy", "1.0", "--fhat", "shifted:{w}/h.json"],
+        {"kind": "chi", "eps": 0.1, "energy": 1.0, "fhat": "shifted:{w}/h.json",
+         "fhat_saturation_energy": 1.0, "copies": 1, "log_shift": False, "t": "optimized"},
+    ),
+    "bound-sweep": (
+        ["bound", "chi", "--eps", "0.1", "--energy", "1.0", "--fhat", "osc:1", "--sweep", "3"],
+        {"copies": "1", "energy": "1.0", "eps": "0.1", "fhat": "osc:1", "kind": "chi",
+         "log_shift": "False", "sweep": "3"},
+    ),
+    "optimize-t": (
+        ["optimize-t", "ccap", "--eps", "0.1", "--energy", "1.0", "--fhat", "osc:1", "--log-shift"],
+        {"kind": "ccap", "eps": 0.1, "energy": 1.0, "fhat": "osc:1", "copies": 1,
+         "log_shift": True, "t": "optimized"},
+    ),
+    "strong-convergence": (
+        ["experiment", "strong-convergence", "--levels", "3", "--thetas", "0.5,0.1", *FAST],
+        {"experiment": "strong-convergence", "levels": "3", "energy": "2.0", "r_dim": "1",
+         "restarts": "1", "seed": "0", "max_iter": "5", "thetas": "[0.5, 0.1]"},
+    ),
+    "attenuator-pair": (
+        ["experiment", "attenuator-pair", "--dims", "2,3", *FAST],
+        {"experiment": "attenuator-pair", "eta1": "0.7", "eta2": "0.69", "energy": "2.0",
+         "restarts": "1", "seed": "0", "max_iter": "5", "dims": "[2, 3]"},
+    ),
+    "tightness-cchi": (
+        ["experiment", "tightness-cchi", "--levels", "3", *FAST],
+        {"experiment": "tightness-cchi", "levels": 3, "energy": 2.0, **SEEDED},
+    ),
+    "tightness-ea": (
+        ["experiment", "tightness-ea", "--levels", "3"],
+        {"experiment": "tightness-ea", "levels": 3, "energy": 2.0},
+    ),
+    "truncation-ladder": (
+        ["experiment", "truncation-ladder", "--levels", "3", *FAST],
+        {"experiment": "truncation-ladder", "levels": "3", "eta1": "0.7", "eta2": "0.69",
+         "energy": "2.0", "restarts": "1", "seed": "0", "max_iter": "5"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ECHO))
+def test_cli_config_echo(workdir, case):
+    """Every subcommand and recipe echoes exactly the inputs that shape its result."""
+    (workdir / "rho.json").write_text(dump_json(density_to_json(DensityOperator(np.eye(4) / 4))))
+    qubits = [DensityOperator(np.diag(p)) for p in ([1.0, 0.0], [0.0, 1.0])]
+    ens = {"probs": [0.5, 0.5], "states": [density_to_json(s) for s in qubits]}
+    (workdir / "ens.json").write_text(dump_json(ens))
+    argv, want = CONFIG_ECHO[case]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([a.replace("{w}", str(workdir)) for a in argv])
+    assert code == 0
+    text = out.getvalue().replace(str(workdir), "{w}")
+    if text.startswith("#"):
+        header = [ln[2:] for ln in text.splitlines() if ln.startswith("# ")]
+        got = dict(ln.split("=", 1) for ln in header)
+    else:
+        got = json.loads(text)["config"]
+    assert got == want
+
+
+MAP_ARGS = ("--phi", "phi.json", "--hamiltonian", "h.json", "--energy", "1")
+BOUND_ARGS = ("bound", "chi", "--eps", "0.1", "--energy", "1", "--fhat", "osc:1")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("ecd-norm", *MAP_ARGS, "--restarts", "-3"), "--restarts"),
+        (("ecd-norm", *MAP_ARGS, "--max-iter", "-1"), "--max-iter"),
+        (("diamond", "--phi", "phi.json", "--r-dim", "0"), "--r-dim"),
+        (("qn", *MAP_ARGS[:4], "--levels", "0"), "--levels"),
+        (("cap-est", "--channel", "c.json", *MAP_ARGS[2:], "--ensemble-size", "0"), "--ensemble-size"),
+        ((*BOUND_ARGS, "--copies", "0"), "--copies"),
+        ((*BOUND_ARGS, "--sweep", "-1"), "--sweep"),
+        (("qmi", "--state", "rho.json", "--dims", "2,0"), "--dims"),
+        (("zoo", "identity", "--levels", "0"), "--levels"),
+        (("experiment", "attenuator-pair", "--dims", "8,0"), "--dims"),
+        (("experiment", "truncation-ladder", "--restarts", "0"), "--restarts"),
+    ],
+)
+def test_cli_counts_below_minimum_are_exit_2(capsys, argv, option):
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}" in err and "below the minimum" in err
