@@ -4,7 +4,8 @@ Entropies use natural logarithms. relative_entropy returns math.inf when the
 first state has support outside the second (eigenvalue threshold 1e-12).
 The capacity estimator is a declared lower-bound heuristic: multi-start
 projected ascent over ensembles of pure states under a mean-energy cap on
-the average input.
+the average input, enforced by `EnergyCap.project` (one mixing weight
+toward the ground state, shared by every state of the ensemble).
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from .operators import (
     Channel,
     DensityOperator,
     Hamiltonian,
-    InfeasibleProblemError,
     apply_channel,
     partial_trace,
 )
-from .optim import EnergyConstrainedSup, energy_constrained_sup
+from .optim import EnergyCap, EnergyConstrainedSup, energy_constrained_sup
 from .thermo import solve_gibbs
 
 SUPPORT_TOL = 1e-12
@@ -182,67 +182,36 @@ class _EnsembleAscent:
 
     def __init__(self, channel: Channel, h_in: Hamiltonian, budget: float, size: int):
         self.channel = channel
-        self.h = h_in.matrix
-        self.tau0 = h_in.eigenbasis[:, 0]
-        self.budget = budget
+        self.cap = EnergyCap(h_in, 1, budget)
         self.size = size
         self.d = channel.in_dim
 
     def _project(self, psis: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        """Mix every state toward the ground direction until the average
-        input satisfies the budget; phases are aligned so mixing is smooth."""
-        def avg_energy(states):
-            rho = np.einsum("k,ki,kj->ij", probs, states, states.conj())
-            return float(np.trace(self.h @ rho).real)
+        """Cap the energy of the average input: every state is mixed toward
+        its ground direction with one shared weight (`EnergyCap.project`)."""
+        return self.cap.project(psis[:, :, None], probs)[:, :, 0]
 
-        if avg_energy(psis) <= self.budget:
-            return psis
-        overlaps = psis @ self.tau0.conj()
-        mags = np.abs(overlaps)
-        phases = np.where(mags > 1e-12, overlaps / np.where(mags > 1e-12, mags, 1.0), 1.0)
-        ground = phases[:, None] * self.tau0[None, :]
-        lo, hi = 0.0, 1.0
-        mixed = ground
-        for _ in range(100):
-            s = 0.5 * (lo + hi)
-            mixed = (1.0 - s) * psis + s * ground
-            mixed = mixed / np.linalg.norm(mixed, axis=1, keepdims=True)
-            e = avg_energy(mixed)
-            if e > self.budget:
-                lo = s
-            else:
-                hi = s
-                if e >= self.budget - 1e-12 * max(1.0, self.budget):
-                    return mixed
-        mixed = (1.0 - hi) * psis + hi * ground
-        return mixed / np.linalg.norm(mixed, axis=1, keepdims=True)
-
-    def value(self, logits: np.ndarray, psis: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def _forward(self, logits: np.ndarray, psis: np.ndarray):
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
         psis = psis / np.linalg.norm(psis, axis=1, keepdims=True)
         psis = self._project(psis, probs)
         outs = np.stack([apply_channel(self.channel, np.outer(p, p.conj())) for p in psis])
         avg = np.einsum("k,kab->ab", probs, outs)
-        chi = _entropy_nd(avg) - float(
-            sum(p * _entropy_nd(o) for p, o in zip(probs, outs))
-        )
-        return chi, probs, psis
+        chi = _entropy_nd(avg) - float(sum(p * _entropy_nd(o) for p, o in zip(probs, outs)))
+        return probs, psis, outs, avg, chi
+
+    def value(self, logits: np.ndarray, psis: np.ndarray) -> float:
+        return self._forward(logits, psis)[-1]
 
     def value_and_grads(self, logits, psis):
-        probs = np.exp(logits - logits.max())
-        probs /= probs.sum()
-        psis = psis / np.linalg.norm(psis, axis=1, keepdims=True)
-        psis = self._project(psis, probs)
-        outs = np.stack([apply_channel(self.channel, np.outer(p, p.conj())) for p in psis])
-        avg = np.einsum("k,kab->ab", probs, outs)
+        probs, psis, outs, avg, chi = self._forward(logits, psis)
 
         def safe_log(m):
             w, v = np.linalg.eigh(m)
             return (v * np.log(np.clip(w, EIG_FLOOR, None))) @ v.conj().T
 
         log_avg = safe_log(avg)
-        chi = _entropy_nd(avg) - float(sum(p * _entropy_nd(o) for p, o in zip(probs, outs)))
         # state gradients: 2 p_k Φ*(ln ρ_k - ln ρ̄) ψ_k
         grad_psis = np.zeros_like(psis)
         for k in range(self.size):
@@ -259,7 +228,7 @@ class _EnsembleAscent:
             ]
         )
         grad_logits = probs * (dchi - float(probs @ dchi))
-        return chi, probs, psis, grad_logits, grad_psis
+        return chi, grad_logits, grad_psis
 
 
 def holevo_capacity_estimate(
@@ -277,13 +246,11 @@ def holevo_capacity_estimate(
     average state satisfies Tr[Hρ̄] <= budget. Heuristic lower bound only;
     treat the result as achievable, not optimal. Restart 0 starts from the
     energy eigenbasis with near-capacity-achieving weights, the rest are
-    random draws keyed by (seed, restart).
+    random draws keyed by (seed, restart). Every evaluation first caps the
+    average input energy with `EnergyCap.project`, which also validates the
+    budget: ValueError when it is not finite, InfeasibleProblemError at or
+    below the ground energy.
     """
-    if energy_budget <= h_in.ground_energy:
-        raise InfeasibleProblemError(
-            f"energy budget {energy_budget} must exceed the ground energy "
-            f"{h_in.ground_energy}"
-        )
     d = channel.in_dim
     size = d if ensemble_size is None else int(ensemble_size)
     if size < 1:
@@ -311,18 +278,18 @@ def holevo_capacity_estimate(
             logits = 0.3 * rng.standard_normal(size)
             psis = rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))
             psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-        f, probs, proj = problem.value(logits, psis)
+        f = problem.value(logits, psis)
         alpha = 0.25
         history = [f]
         for _ in range(max_iter):
-            f_cur, probs, proj, g_logits, g_psis = problem.value_and_grads(logits, psis)
+            f_cur, g_logits, g_psis = problem.value_and_grads(logits, psis)
             f = max(f, f_cur)
             scale = max(np.linalg.norm(g_logits), np.max(np.linalg.norm(g_psis, axis=1)), 1e-30)
             moved = False
             while alpha >= 1e-12:
                 cand_logits = logits + alpha * g_logits / scale
                 cand_psis = psis + alpha * g_psis / scale
-                fc, _, _ = problem.value(cand_logits, cand_psis)
+                fc = problem.value(cand_logits, cand_psis)
                 if fc > f:
                     moved = True
                     break

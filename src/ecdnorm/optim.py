@@ -79,19 +79,26 @@ def golden_section_min(
 class EnergyCap:
     """Projection onto {ψ on A⊗R : <ψ|(H ⊗ I)|ψ> <= budget, |ψ| = 1}.
 
-    An infeasible unit vector ψ is mixed toward the lowest-energy product
-    direction g = τ₀ ⊗ r compatible with its own reference profile r. The
-    normalized mix ψ + t·g meets the budget E exactly at the positive root t
-    of (E₀ − E)t² + 2(Re⟨ψ|H⊗I|g⟩ − E·Re⟨ψ|g⟩)t + (e(ψ) − E) = 0, where E₀
-    is the ground energy; t is nudged upward when rounding leaves the result
-    above the budget.
+    `project` caps the weighted mean energy Σ_k w_k e(m_k) of unit blocks m_k
+    (K × input × reference) at the budget E; `__call__` is its K = 1 case. An
+    infeasible batch is mixed toward the lowest-energy product directions
+    g_k = τ₀ ⊗ r̂_k, with r̂_k the normalized reference profile τ₀†m_k (e₀ when
+    it vanishes), by one weight t shared by every block. With a_k = e(m_k),
+    c_k = Re⟨m_k|g_k⟩ and b_k = Re⟨m_k|H⊗I|g_k⟩ = E₀c_k (τ₀ is a ground
+    state of energy E₀), the mean energy of the normalized mixes m_k + t·g_k,
+    Σ_k w_k (a_k + 2t·b_k + t²E₀) / (1 + 2t·c_k + t²)
+    = E₀ + Σ_k w_k (a_k − E₀) / (1 + 2t·c_k + t²), falls with t. One block
+    meets E at the positive root of a quadratic; several at the root of a
+    safeguarded Newton iteration bracketed by the largest of the blocks' own
+    roots. If rounding leaves the mix above E, t is solved once more for
+    E − ½·1e-12·max(1, E), so an infeasible input lands in
+    [E − 1e-12·max(1, E), E]; the ground directions are the last fallback.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, r_dim: int, budget: float):
         check_energy_budget(hamiltonian, budget)
         self._h = hamiltonian.matrix
         self._tau0 = hamiltonian.eigenbasis[:, 0]
-        self._h_tau0 = self._h @ self._tau0
         self._e0 = float(hamiltonian.ground_energy)
         self._dim = hamiltonian.dimension
         self._r_dim = int(r_dim)
@@ -104,37 +111,57 @@ class EnergyCap:
             self._h_kron = np.kron(self._h, np.eye(self._r_dim))
         return self._h_kron
 
+    def _energies(self, blocks: np.ndarray) -> np.ndarray:
+        return np.einsum("kir,ij,kjr->k", blocks.conj(), self._h, blocks).real
+
     def energy(self, psi: np.ndarray) -> float:
-        m = psi.reshape(self._dim, self._r_dim)
-        return float(np.einsum("ir,ij,jr->", m.conj(), self._h, m).real)
+        return float(self._energies(psi.reshape(1, self._dim, self._r_dim))[0])
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        e = self.energy(psi)
-        if e <= self.budget:
-            return psi
-        m = psi.reshape(self._dim, self._r_dim)
-        rvec = self._tau0.conj() @ m
-        rn = np.linalg.norm(rvec)
-        if rn < 1e-12:
-            rvec = np.zeros(self._r_dim, dtype=np.complex128)
-            rvec[0] = 1.0
-        else:
-            rvec = rvec / rn
-        ground = np.outer(self._tau0, rvec).reshape(-1)
-        overlap = float(np.vdot(psi, ground).real)
-        h_overlap = float(np.vdot(psi, np.outer(self._h_tau0, rvec).reshape(-1)).real)
-        # a t² + 2 b t − c = 0 with a, c > 0 has one positive root
-        a = self.budget - self._e0
-        b = self.budget * overlap - h_overlap
-        c = e - self.budget
-        root = np.sqrt(b * b + a * c)
-        t = c / (b + root) if b > 0.0 else (root - b) / a
-        for k in range(8):
-            cand = normalize(psi + t * ground)
-            if self.energy(cand) <= self.budget:
-                return cand
-            t += (t + 1.0) * 1e-15 * 8.0**k
+        blocks = psi.reshape(1, self._dim, self._r_dim)
+        return self.project(blocks, np.ones(1)).reshape(psi.shape)
+
+    def project(self, blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Blocks (K, d, r) whose w-weighted mean energy is at most the budget."""
+        a = self._energies(blocks)
+        if weights @ a <= self.budget:
+            return blocks
+        profiles = self._tau0.conj() @ blocks
+        rn = np.linalg.norm(profiles, axis=1, keepdims=True)
+        dead = rn < 1e-12
+        rhat = np.where(dead, np.eye(self._r_dim)[0], profiles / np.maximum(rn, 1e-12))
+        c = np.where(dead[:, 0], profiles[:, 0].real, rn[:, 0])
+        ground = self._tau0[None, :, None] * rhat[:, None, :]
+        slack = min(0.5e-12 * max(1.0, self.budget), 0.5 * (self.budget - self._e0))
+        for target in (self.budget, self.budget - slack):
+            mixed = blocks + self._shared_weight(a - self._e0, c, weights, target) * ground
+            mixed /= np.linalg.norm(mixed, axis=(1, 2), keepdims=True)
+            if weights @ self._energies(mixed) <= self.budget:
+                return mixed
         return ground
+
+    def _shared_weight(self, s, c, weights, target: float) -> float:
+        """The least t found with Σ_k w_k s_k / (1 + 2t·c_k + t²) <= target − E₀."""
+        gap = target - self._e0
+        hot = s > gap
+        # a block's own root solves t² + 2c·t = s/gap − 1 =: q (written free of
+        # cancellation); past it the block is at or under the target, so the
+        # largest root bounds the shared t, and for one block it is the answer
+        q, ch = s[hot] / gap - 1.0, c[hot]
+        lo, hi = 0.0, float((q / (ch + np.sqrt(ch * ch + q))).max(initial=0.0))
+        if len(s) == 1:
+            return hi
+        t = hi
+        for _ in range(60):
+            n = 1.0 + 2.0 * t * c + t * t
+            f = weights @ (s / n) - gap
+            lo, hi = (t, hi) if f > 0.0 else (lo, t)
+            if -1e-14 * max(1.0, abs(target)) <= f <= 0.0 or hi - lo <= 1e-15 * hi:
+                break
+            t += f / (2.0 * weights @ (s * (c + t) / (n * n)))
+            if not lo < t < hi:
+                t = 0.5 * (lo + hi)
+        return hi
 
 
 class TraceNormObjective:

@@ -70,11 +70,13 @@ def _log_partition(ev: np.ndarray, lam: float) -> float:
 def solve_gibbs(hamiltonian: Hamiltonian, energy: float) -> GibbsSolution:
     """Solve for the Gibbs state with the given mean energy.
 
-    Requires ground_energy < energy < max_energy; outside that open interval
-    no multiplier exists. Bisection on λ; the mean energy is strictly
-    decreasing in λ, and the initial bracket ±50/(E_max - E_0) is expanded
-    geometrically if needed.
+    Requires a finite energy (ValueError otherwise) with ground_energy <
+    energy < max_energy; outside that open interval no multiplier exists.
+    Bisection on λ; the mean energy is strictly decreasing in λ, and the
+    initial bracket ±50/(E_max - E_0) is expanded geometrically if needed.
     """
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be a finite number, got {energy}")
     ev = hamiltonian.eigenvalues
     e0, emax = float(ev[0]), float(ev[-1])
     if not e0 < energy < emax:

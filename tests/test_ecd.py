@@ -27,8 +27,10 @@ from ecdnorm import (
     energy_constrained_sup,
     estimate_diamond_norm,
     estimate_ecd_norm,
+    holevo_capacity_estimate,
     identity_channel,
     phase_rotation,
+    solve_gibbs,
     state_truncation_bound,
     subspace_seminorm,
     trace_norm,
@@ -140,6 +142,10 @@ def test_non_finite_budget_is_rejected(budget):
         EnergyCap(h, 3, budget)
     with pytest.raises(ValueError, match="finite"):
         energy_constrained_sup(h.matrix, h, budget)
+    with pytest.raises(ValueError, match="finite"):
+        holevo_capacity_estimate(identity_channel(3), h, budget, restarts=1, max_iter=1)
+    with pytest.raises(ValueError, match="finite"):
+        solve_gibbs(h, budget)
 
 
 def test_first_level_seminorm_is_ground_state_norm():

@@ -12,6 +12,7 @@ from ecdnorm import (
     DensityOperator,
     Ensemble,
     Hamiltonian,
+    TruncatedOscillator,
     apply_channel,
     channel_mutual_information,
     depolarize_to,
@@ -28,6 +29,7 @@ from ecdnorm import (
     solve_gibbs,
     vacuum_state,
 )
+from ecdnorm.info import _EnsembleAscent
 
 LN2 = math.log(2.0)
 
@@ -207,6 +209,68 @@ def test_output_energy_sup_dominates_primal_samples():
         out = apply_channel(ch, rho)
         worst = max(worst, float(np.trace(h.matrix @ out).real))
     assert worst <= res.value + 1e-9
+
+
+def _projection_cases():
+    rng = np.random.default_rng(74)
+    for d, size in [(3, 2), (4, 4), (5, 3), (6, 8)]:
+        ev = np.sort(rng.uniform(0.0, 3.0, size=d))
+        ev[0] = rng.uniform(0.0, 0.2)
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = Hamiltonian(ev, np.linalg.qr(z)[0])
+        tau0 = h.eigenbasis[:, 0]
+        budget = float(ev[0] + rng.uniform(0.2, 0.8) * (ev.mean() - ev[0]))
+        for trial in range(12):
+            psis = np.stack([haar_vector(rng, d) for _ in range(size)])
+            if trial % 3 == 1:
+                # states with no weight on the ground level
+                psis[::2] -= np.outer(psis[::2] @ tau0.conj(), tau0)
+            if trial % 3 == 2:
+                # close to the ground state: mostly feasible
+                psis = tau0 + 0.2 * psis
+            psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+            probs = rng.dirichlet(np.ones(size))
+            yield h, budget, psis, probs
+    # the Gibbs-weighted eigenbasis start of the estimator, over the budget by rounding
+    h = TruncatedOscillator(9, 1.0).hamiltonian
+    logits = -solve_gibbs(h, 1.5).lam * h.eigenvalues
+    probs = np.exp(logits - logits.max())
+    yield h, 1.5, h.eigenbasis.T.astype(np.complex128), probs / probs.sum()
+
+
+def test_ensemble_projection_shares_one_weight():
+    """The ascent's projection mixes each state toward its ground direction
+    with one weight t shared by the whole ensemble."""
+    projected = feasible = 0
+    for h, budget, psis, probs in _projection_cases():
+        ascent = _EnsembleAscent(identity_channel(h.dimension), h, budget, len(probs))
+        out = ascent._project(psis, probs)
+
+        def mean_energy(states):
+            return float(probs @ np.einsum("ki,ij,kj->k", states.conj(), h.matrix, states).real)
+
+        if mean_energy(psis) <= budget:
+            np.testing.assert_array_equal(out, psis)
+            feasible += 1
+            continue
+        assert budget - 1e-12 * max(1.0, budget) <= mean_energy(out) <= budget
+        tau0 = h.eigenbasis[:, 0]
+        weights = []
+        for psi, o in zip(psis, out):
+            overlap = np.vdot(tau0, psi)
+            ground = tau0 * (overlap / abs(overlap) if abs(overlap) >= 1e-12 else 1.0)
+            assert abs(np.linalg.norm(o) - 1.0) < 1e-12
+            basis = np.column_stack([psi, ground])
+            coef = np.linalg.lstsq(basis, o, rcond=None)[0]
+            assert np.linalg.norm(basis @ coef - o) < 1e-10
+            if abs(np.vdot(ground, psi)) < 0.99:
+                weights.append(coef[1] / coef[0])
+        weights = np.array(weights)
+        assert np.all(weights.real > 0.0)
+        assert np.abs(weights.imag).max() <= 1e-9 * weights.real.max()
+        assert np.ptp(weights.real) <= 1e-6 * weights.real.max() + 1e-13
+        projected += 1
+    assert projected >= 30 and feasible >= 5
 
 
 def test_capacity_estimate_identity_channel():

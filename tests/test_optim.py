@@ -89,6 +89,22 @@ def test_energy_cap_projection():
             assert budget - 1e-12 * max(1.0, budget) <= cap.energy(out) <= budget
             checked += 1
     assert checked >= 40
+    # a vector with no ground-level weight a few ulps over the budget is
+    # mixed toward the ground direction, not replaced by it
+    h = Hamiltonian([0.0, 1.0, 2.0])
+    ground = h.eigenbasis[:, 0].astype(np.complex128)
+    rng = np.random.default_rng(301)
+    for _ in range(200):
+        psi = np.concatenate([[0.0], haar_vector(rng, 2)])
+        budget = EnergyCap(h, 1, 1.0).energy(psi) - rng.uniform(4e-16, 2e-15)
+        cap = EnergyCap(h, 1, budget)
+        assert cap.energy(psi) > budget
+        out = cap(psi)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        span = np.linalg.qr(np.column_stack([psi, ground]))[0]
+        assert np.linalg.norm(out - span @ (span.conj().T @ out)) < 1e-10
+        assert budget - 1e-12 * max(1.0, budget) <= cap.energy(out) <= budget
+        assert np.linalg.norm(out - ground) > 0.5
 
 
 def test_energy_cap_kron_matrix():
