@@ -124,6 +124,9 @@ class BoundInputs:
     copies: int = 1
 
     def __post_init__(self):
+        for name in ("epsilon", "energy_arg", "t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.energy_arg <= 0.0:

@@ -104,12 +104,18 @@ def ecd_objective(problem: EcdProblem, psi) -> float:
     return _objective(problem.map, problem.r_dim).value(psi)
 
 
-def diamond_upper_bound(the_map: HermitianPreservingMap) -> float:
+def diamond_upper_bound(
+    the_map: HermitianPreservingMap, objective: TraceNormObjective | None = None
+) -> float:
     """Certified diamond-norm bound: ||Tr_out |C|||_∞ over the Choi matrix C.
 
     This dominates the unconstrained norm, hence every energy-constrained
     value as well. It is not clamped at 2 even for channel differences.
+    An objective built on the same map has diagonalized C already; its
+    `sign_shift` is this bound, read without a second eigendecomposition.
     """
+    if objective is not None:
+        return objective.sign_shift
     red = partial_trace(hermitian_abs(the_map.choi), (the_map.out_dim, the_map.in_dim), keep=1)
     return float(np.linalg.eigvalsh(red)[-1])
 
@@ -213,8 +219,9 @@ def _estimate(
         lower = upper = 0.0
         witness = start if cap is None else cap(start)
     else:
+        objective = _objective(the_map, r_dim)
         lower, witness = multistart_ascend(
-            _objective(the_map, r_dim),
+            objective,
             the_map.in_dim,
             r_dim,
             restarts,
@@ -223,7 +230,7 @@ def _estimate(
             extra_starts=extra_starts,
             max_iter=max_iter,
         )
-        upper = diamond_upper_bound(the_map)
+        upper = diamond_upper_bound(the_map, objective)
         if the_map.kraus_pair is not None:
             upper = min(upper, 2.0)
         if problem is not None:

@@ -170,11 +170,18 @@ class TraceNormObjective:
     For ψ with coefficient matrix M (input × reference, row-major) the output
     equals (I ⊗ Mᵀ) C (I ⊗ M̄), a congruence with the Choi matrix C of Θ.
 
-    `value_and_grad` stores the sign matrix S of the last output, which makes
-    the linearization ψ' -> Tr[S X(ψ')] available through `sign_value`. That
-    linearization never exceeds the true objective (S has operator norm one),
-    so improvements certified with it hold for the objective as well, without
-    paying for an eigendecomposition per trial point.
+    `value_and_grad` keeps the sign matrix S of the last output, which makes
+    the linearization ψ' -> Tr[S X(ψ')] available through `sign_value` and
+    `apply_sign`. That linearization never exceeds the true objective (S has
+    operator norm one), so improvements certified with it hold for the
+    objective as well, without paying for an eigendecomposition per trial
+    point.
+
+    With C = F diag(σ) F†, X(ψ) = Y diag(σ) Y† has rank at most the Choi rank.
+    When that rank is at most half of out·r (`_use_factor`), S = I − 2PP† is
+    kept as the isometry P onto the eigenvectors of X with negative
+    eigenvalues, and the identity part goes through the adjoint of the map
+    at I; otherwise S is kept as a dense (out·r)² tensor.
     """
 
     def __init__(self, choi: np.ndarray, in_dim: int, out_dim: int, r_dim: int):
@@ -183,22 +190,22 @@ class TraceNormObjective:
         self.r_dim = int(r_dim)
         self._c4 = np.ascontiguousarray(choi.reshape(out_dim, in_dim, out_dim, in_dim))
         w, v = np.linalg.eigh(choi)
+        # |C| = A A† and C = A diag(sign w) A† with A = V √|w|
+        a3 = (v * np.sqrt(np.abs(w))).reshape(out_dim, in_dim, w.size)
+        # Tr_out |C| from the full spectrum, for sign_shift
+        self._abs_margin = np.tensordot(a3, a3.conj(), axes=([0, 2], [0, 2]))
         keep = np.abs(w) > 1e-14 * max(float(np.abs(w).max(initial=0.0)), 1e-300)
-        wk, vk = w[keep], v[:, keep]
-        self._rank = int(wk.size)
-        self._sigma = np.where(wk >= 0.0, 1.0, -1.0)
-        # choi = F diag(sigma) F† with F tall-skinny; X(psi) inherits the rank
-        self._f3 = np.ascontiguousarray(
-            (vk * np.sqrt(np.abs(wk))).reshape(out_dim, in_dim, self._rank)
-        )
-        self._abs_w = np.abs(wk)
-        self._abs_v = vk
-        # adjoint applied to the identity, for the kernel part of sign matrices
+        self._rank = int(keep.sum())
+        self._sigma = np.where(w[keep] >= 0.0, 1.0, -1.0)
+        # F is tall-skinny: the columns of A with nonzero weight
+        self._f3 = np.ascontiguousarray(a3[:, :, keep])
+        # F† per output level, (out, rank, in), for pulling actions back to inputs
+        self._f3_adj = np.ascontiguousarray(self._f3.conj().transpose(0, 2, 1))
+        # adjoint applied to the identity, for the identity part of sign matrices
         self._adj_id = np.ascontiguousarray(np.einsum("aiaj->ij", self._c4).T)
         self._use_factor = self._rank <= (out_dim * r_dim) // 2
+        self._neg = self._neg_h = None
         self._s4 = None
-        self._s_extra = None
-        self._shift = None
 
     def output(self, psi: np.ndarray) -> np.ndarray:
         m = psi.reshape(self.in_dim, self.r_dim)
@@ -210,68 +217,78 @@ class TraceNormObjective:
     def _factor(self, psi: np.ndarray) -> np.ndarray:
         """Y with X(psi) = Y diag(sigma) Y†, shape (out*r, rank)."""
         m = psi.reshape(self.in_dim, self.r_dim)
-        y = np.tensordot(self._f3, m, axes=([1], [0]))  # aic,ir -> acr
-        return y.transpose(0, 2, 1).reshape(self.out_dim * self.r_dim, self._rank)
+        y = np.matmul(m.T, self._f3)  # ri,aic -> arc
+        return y.reshape(self.out_dim * self.r_dim, self._rank)
 
     def value(self, psi: np.ndarray) -> float:
         if self._use_factor:
-            if self._rank == 0:
-                return 0.0
             r = np.linalg.qr(self._factor(psi), mode="r")
             small = (r * self._sigma) @ r.conj().T
             return float(np.abs(np.linalg.eigvalsh(small)).sum())
         return float(np.abs(np.linalg.eigvalsh(self.output(psi))).sum())
 
     def value_and_grad(self, psi: np.ndarray) -> tuple[float, np.ndarray]:
-        dim = self.out_dim * self.r_dim
         if self._use_factor:
-            if self._rank == 0:
-                self._s4 = np.zeros((self.out_dim, self.r_dim) * 2)
-                self._s_extra = None
-                return 0.0, np.zeros_like(psi)
-            q, r = np.linalg.qr(self._factor(psi))
+            y = self._factor(psi)
+            q, r = np.linalg.qr(y)
             w, v = np.linalg.eigh((r * self._sigma) @ r.conj().T)
             value = float(np.abs(w).sum())
             # near-zero eigenvalues count as +; snapping them stops the sign
-            # matrix from jittering between iterations
-            signs = np.where(w >= -1e-9 * np.abs(w).max(initial=0.0), 1.0, -1.0)
-            # sign matrix = Q(V signs V† - I)Q† plus the identity; the identity
-            # part goes through the adjoint separately
-            b = (v * signs) @ v.conj().T - np.eye(self._rank)
-            s = (q @ b) @ q.conj().T
-            self._s_extra = self._adj_id
-        else:
-            x = self.output(psi)
-            w, v = np.linalg.eigh(x)
-            value = float(np.abs(w).sum())
-            signs = np.where(w >= -1e-9 * np.abs(w).max(initial=0.0), 1.0, -1.0)
-            s = (v * signs) @ v.conj().T
-            self._s_extra = None
+            # matrix from jittering between iterations. X = Q V diag(w) V† Q†,
+            # so S = I − 2PP† with P = Q V restricted to the negative w.
+            self._neg = q @ v[:, w < -1e-9 * np.abs(w).max(initial=0.0)]
+            self._neg_h = np.ascontiguousarray(self._neg.conj().T)
+            return value, 2.0 * self._factored_sign(psi, y)
+        x = self.output(psi)
+        w, v = np.linalg.eigh(x)
+        value = float(np.abs(w).sum())
+        signs = np.where(w >= -1e-9 * np.abs(w).max(initial=0.0), 1.0, -1.0)
+        s = (v * signs) @ v.conj().T
         self._s4 = np.ascontiguousarray(
             s.reshape(self.out_dim, self.r_dim, self.out_dim, self.r_dim)
         )
         return value, 2.0 * self.apply_sign(psi)
 
+    def _factored_sign(self, psi: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """apply_sign(psi) on the factored path, given Y = _factor(psi)."""
+        # (S − I) Y diag(σ) = −2 P (P† Y) diag(σ), pulled back through F†
+        z = self._neg @ ((self._neg_h @ y) * (-2.0 * self._sigma))
+        z = z.reshape(self.out_dim, self.r_dim, self._rank)
+        grad = np.matmul(z, self._f3_adj).sum(axis=0).T  # ark,aki -> ri
+        return (grad + self._adj_id @ psi.reshape(self.in_dim, self.r_dim)).reshape(-1)
+
     def apply_sign(self, psi: np.ndarray) -> np.ndarray:
-        """Apply the adjoint-of-map contraction with the stored sign matrix."""
+        """Gψ for the linearization ⟨ψ|G|ψ⟩ = Tr[S X(ψ)] at the last expansion point.
+
+        Factored path: Y = _factor(ψ), then −2P(P†Y)·σ, one contraction back
+        through F†, plus the adjoint at I applied to M; S is never formed.
+        Dense path: two tensordots with the sign and Choi tensors.
+        """
+        if self._use_factor:
+            return self._factored_sign(psi, self._factor(psi))
         m = psi.reshape(self.in_dim, self.r_dim)
         t = np.tensordot(self._s4, m, axes=([3], [1]))  # ysxr,ir -> ysxi
         grad = np.tensordot(t, self._c4, axes=([0, 2, 3], [2, 0, 1])).T  # -> js
-        if self._s_extra is not None:
-            grad = grad + self._s_extra @ m
         return grad.reshape(-1)
 
     def surrogate_matrix(self) -> np.ndarray:
         """Dense Hermitian G with ⟨ψ|G|ψ⟩ = sign_value(ψ), Gψ = apply_sign(ψ).
 
-        One contraction of the stored sign tensor with the Choi tensor, plus
-        the identity part ⊗ I_R on the factored path.
+        One contraction of the sign tensor with the Choi tensor. On the
+        factored path the tensor is S − I = −2PP†, built here from the factor
+        (the capped proposal calls this only at psi.size <= 64), and the
+        identity part enters as the adjoint at I ⊗ I_R.
         """
         dim = self.in_dim * self.r_dim
-        g = np.tensordot(self._s4, self._c4, axes=([0, 2], [2, 0]))  # ysxr,xiyj -> srij
+        s4 = self._s4
+        if self._use_factor:
+            s4 = (-2.0 * self._neg @ self._neg_h).reshape(
+                self.out_dim, self.r_dim, self.out_dim, self.r_dim
+            )
+        g = np.tensordot(s4, self._c4, axes=([0, 2], [2, 0]))  # ysxr,xiyj -> srij
         g = g.transpose(3, 0, 2, 1).reshape(dim, dim)
-        if self._s_extra is not None:
-            g = g + np.kron(self._s_extra, np.eye(self.r_dim))
+        if self._use_factor:
+            g = g + np.kron(self._adj_id, np.eye(self.r_dim))
         return 0.5 * (g + g.conj().T)
 
     def sign_value(self, psi: np.ndarray) -> float:
@@ -279,14 +296,9 @@ class TraceNormObjective:
 
     @property
     def sign_shift(self) -> float:
-        """Bound on |Tr[S X(ψ)]| over unit ψ and any sign matrix S."""
-        if self._shift is None:
-            abs4 = ((self._abs_v * self._abs_w) @ self._abs_v.conj().T).reshape(
-                self._c4.shape
-            )
-            margin = np.einsum("aiaj->ij", abs4)
-            self._shift = float(np.linalg.eigvalsh(margin)[-1])
-        return self._shift
+        """Bound on |Tr[S X(ψ)]| over unit ψ and any sign matrix S: the
+        largest eigenvalue of Tr_out |C|, which is the Choi diamond bound."""
+        return float(np.linalg.eigvalsh(self._abs_margin)[-1])
 
 
 LANCZOS_STEPS = 24

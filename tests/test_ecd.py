@@ -14,6 +14,7 @@ from conftest import (
     random_channel,
 )
 from ecdnorm import (
+    BoundInputs,
     Channel,
     DensityOperator,
     EcdEstimate,
@@ -22,6 +23,7 @@ from ecdnorm import (
     Hamiltonian,
     HermitianPreservingMap,
     InfeasibleProblemError,
+    OscillatorEntropyBound,
     diamond_upper_bound,
     ecd_objective,
     energy_constrained_sup,
@@ -146,6 +148,18 @@ def test_non_finite_budget_is_rejected(budget):
         holevo_capacity_estimate(identity_channel(3), h, budget, restarts=1, max_iter=1)
     with pytest.raises(ValueError, match="finite"):
         solve_gibbs(h, budget)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("epsilon", "energy_arg", "t") for v in (math.nan, math.inf, -math.inf)],
+)
+def test_non_finite_bound_inputs_are_rejected(field, value):
+    args = {"epsilon": 0.1, "energy_arg": 1.0, "t": 1.0}
+    BoundInputs(**args, entropy_bound=OscillatorEntropyBound(1.0))
+    args[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        BoundInputs(**args, entropy_bound=OscillatorEntropyBound(1.0))
 
 
 def test_first_level_seminorm_is_ground_state_norm():

@@ -1,6 +1,8 @@
 """Constrained ascent machinery: line search, energy caps, the trace-norm
 objective, and the Lagrangian-dual supremum of quadratic forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from ecdnorm import (
     energy_constrained_sup,
     estimate_ecd_norm,
     golden_section_min,
+    identity_channel,
     multistart_ascend,
+    phase_rotation,
     start_vectors,
 )
 from ecdnorm import optim
@@ -132,18 +136,71 @@ def test_objective_value_matches_direct_kraus_route():
             assert abs(obj.value(v) - want) < 1e-9
 
 
-def test_objective_factor_and_dense_paths_agree():
+def _factored_case(name):
+    """(Choi matrix, in, out, r, Choi rank) of a map on the factored path.
+
+    "IxOxRxK" is a difference of two random channels with K Kraus operators
+    from I to O levels, at reference dimension R."""
     rng = np.random.default_rng(33)
-    obj, diff, _, _ = _difference_objective(rng, 3, 3, 2)
-    dense = TraceNormObjective(diff.choi, 3, 3, 2)
+    if name == "phase-vs-identity":
+        diff = HermitianPreservingMap.difference(phase_rotation(5, 0.3), identity_channel(5))
+        return diff.choi, 5, 5, 3, 2
+    if name == "zero":
+        phi = random_channel(rng, 3, 4, 2)
+        return HermitianPreservingMap.difference(phi, phi).choi, 3, 4, 2, 0
+    d_in, d_out, r, n_kraus = (int(c) for c in name.split("x"))
+    _, diff, _, _ = _difference_objective(rng, d_in, d_out, r, n_kraus)
+    return diff.choi, d_in, d_out, r, 2 * n_kraus
+
+
+@pytest.mark.parametrize(
+    "case", ["3x3x2x1", "3x4x2x2", "2x5x3x2", "4x3x3x2", "4x2x5x2", "phase-vs-identity", "zero"]
+)
+def test_objective_factor_and_dense_paths_agree(case):
+    """The factored sign matrix acts like the dense one: on vectors other
+    than the expansion point, after successive expansions, and through the
+    capped proposal's dense surrogate."""
+    choi, d_in, d_out, r, rank = _factored_case(case)
+    obj = TraceNormObjective(choi, d_in, d_out, r)
+    dense = TraceNormObjective(choi, d_in, d_out, r)
     dense._use_factor = False
-    for _ in range(6):
-        v = haar_vector(rng, 6)
+    assert obj._use_factor and obj._rank == rank
+    rng = np.random.default_rng(331)
+    dim = d_in * r
+    for _ in range(4):
+        v = haar_vector(rng, dim)
         assert abs(obj.value(v) - dense.value(v)) < 1e-10
         fa, ga = obj.value_and_grad(v)
         fb, gb = dense.value_and_grad(v)
         assert abs(fa - fb) < 1e-10
-        np.testing.assert_allclose(ga, gb, atol=1e-8)
+        np.testing.assert_allclose(ga, gb, atol=1e-10)
+    g = obj.surrogate_matrix()
+    np.testing.assert_allclose(g, dense.surrogate_matrix(), atol=1e-10)
+    for _ in range(3):
+        u = haar_vector(rng, dim)
+        np.testing.assert_allclose(obj.apply_sign(u), dense.apply_sign(u), atol=1e-10)
+        np.testing.assert_allclose(g @ u, obj.apply_sign(u), atol=1e-12)
+        assert abs(obj.sign_value(u) - dense.sign_value(u)) < 1e-10
+
+
+def test_factored_sign_matrix_is_never_dense():
+    """At 24 levels (Choi rank 46, out·r = 576) one expansion and one action
+    together peak below half of a single dense 576 × 576 sign matrix."""
+    d = 24
+    diff = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
+    obj = TraceNormObjective(diff.choi, d, d, d)
+    assert obj._use_factor and obj._rank < 64
+    rng = np.random.default_rng(332)
+    psi, u = haar_vector(rng, d * d), haar_vector(rng, d * d)
+    dense_bytes = 16 * (d * d) ** 2
+    tracemalloc.start()
+    try:
+        obj.value_and_grad(psi)
+        obj.apply_sign(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * dense_bytes, peak
 
 
 def test_objective_gradient_numerically():
