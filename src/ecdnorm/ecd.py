@@ -7,10 +7,11 @@ The quantity of interest is
 A multi-start projected ascent produces a certified achievable lower value
 together with its witness; the upper side of the bracket is the cheapest of
 several rigorous certificates (Choi-based diamond bound, the generic 2 for
-channel differences, tail-truncation ladders, and a Stinespring-alignment
-bound for channel differences). Estimates never exceed certificates, so the
-pair brackets the true norm. The unconstrained diamond norm is the member of
-the family with no energy cap, bracketed by the same routine.
+channel differences, and under an energy cap a Stinespring-alignment bound
+for channel differences or, for any other map, a tail-truncation ladder).
+Estimates never exceed certificates, so the pair brackets the true norm. The
+unconstrained diamond norm is the member of the family with no energy cap,
+bracketed by the same routine.
 """
 
 from __future__ import annotations
@@ -159,9 +160,7 @@ def _aligned_stinespring_bound(
     return 2.0 * math.sqrt(max(sup, 0.0))
 
 
-def _truncation_ladder_bound(
-    problem: EcdProblem, global_bound: float, best_so_far: float
-) -> float:
+def _truncation_ladder_bound(problem: EcdProblem, global_bound: float) -> float:
     """min over n of [diamond bound of the n-level compression + tail cost].
 
     For P the projector on the n lowest levels and r = E/E_n the largest
@@ -171,7 +170,7 @@ def _truncation_ladder_bound(
     h = problem.h_in
     ev = h.eigenvalues
     d = h.dimension
-    best = best_so_far
+    best = global_bound
     for n in range(d - 1, 0, -1):
         level = float(ev[n])
         if level <= 0.0:
@@ -210,8 +209,9 @@ def _estimate(
     The lower value is the best objective over `restarts` deterministic
     multi-start ascents plus any extra_starts; the upper value is the minimum
     over the rigorous certificates. The Choi diamond bound (and the generic 2
-    for channel differences) holds with or without a cap; the aligned
-    Stinespring bound and the truncation ladder need one.
+    for channel differences) holds with or without a cap. Under a cap a
+    channel difference adds the aligned Stinespring bound; any other map,
+    which has no Kraus pair to align, adds the truncation ladder.
     """
     cap = None if problem is None else EnergyCap(problem.h_in, r_dim, problem.energy)
     if float(np.max(np.abs(the_map.choi))) < ZERO_MAP_TOL:
@@ -233,14 +233,13 @@ def _estimate(
         upper = diamond_upper_bound(the_map, objective)
         if the_map.kraus_pair is not None:
             upper = min(upper, 2.0)
-        if problem is not None:
-            global_bound = upper
-            if the_map.kraus_pair is not None:
+            if problem is not None:
                 upper = min(
                     upper,
                     _aligned_stinespring_bound(the_map.kraus_pair, problem.h_in, problem.energy),
                 )
-            upper = _truncation_ladder_bound(problem, global_bound, upper)
+        elif problem is not None:
+            upper = _truncation_ladder_bound(problem, upper)
     witness_energy = None if cap is None else cap.energy(witness)
     return EcdEstimate(lower, upper, witness, witness_energy)
 

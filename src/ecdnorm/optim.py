@@ -169,19 +169,18 @@ class TraceNormObjective:
 
     For ψ with coefficient matrix M (input × reference, row-major) the output
     equals (I ⊗ Mᵀ) C (I ⊗ M̄), a congruence with the Choi matrix C of Θ.
+    With C = F diag(σ) F†, the output is X(ψ) = Y diag(σ) Y† with Y = (I ⊗ Mᵀ)F,
+    of rank at most the Choi rank; its spectrum comes from the small
+    R diag(σ) R† of a thin QR factorization Y = QR.
 
     `value_and_grad` keeps the sign matrix S of the last output, which makes
     the linearization ψ' -> Tr[S X(ψ')] available through `sign_value` and
     `apply_sign`. That linearization never exceeds the true objective (S has
     operator norm one), so improvements certified with it hold for the
     objective as well, without paying for an eigendecomposition per trial
-    point.
-
-    With C = F diag(σ) F†, X(ψ) = Y diag(σ) Y† has rank at most the Choi rank.
-    When that rank is at most half of out·r (`_use_factor`), S = I − 2PP† is
-    kept as the isometry P onto the eigenvectors of X with negative
-    eigenvalues, and the identity part goes through the adjoint of the map
-    at I; otherwise S is kept as a dense (out·r)² tensor.
+    point. S = I − 2PP† is kept as the isometry P onto the eigenvectors of X
+    with negative eigenvalues, and its identity part goes through the adjoint
+    of the map at I; S itself is never formed.
     """
 
     def __init__(self, choi: np.ndarray, in_dim: int, out_dim: int, r_dim: int):
@@ -203,16 +202,7 @@ class TraceNormObjective:
         self._f3_adj = np.ascontiguousarray(self._f3.conj().transpose(0, 2, 1))
         # adjoint applied to the identity, for the identity part of sign matrices
         self._adj_id = np.ascontiguousarray(np.einsum("aiaj->ij", self._c4).T)
-        self._use_factor = self._rank <= (out_dim * r_dim) // 2
         self._neg = self._neg_h = None
-        self._s4 = None
-
-    def output(self, psi: np.ndarray) -> np.ndarray:
-        m = psi.reshape(self.in_dim, self.r_dim)
-        out4 = np.einsum("ir,aibj,js->arbs", m, self._c4, m.conj(), optimize=True)
-        n = self.out_dim * self.r_dim
-        x = out4.reshape(n, n)
-        return 0.5 * (x + x.conj().T)
 
     def _factor(self, psi: np.ndarray) -> np.ndarray:
         """Y with X(psi) = Y diag(sigma) Y†, shape (out*r, rank)."""
@@ -221,36 +211,24 @@ class TraceNormObjective:
         return y.reshape(self.out_dim * self.r_dim, self._rank)
 
     def value(self, psi: np.ndarray) -> float:
-        if self._use_factor:
-            r = np.linalg.qr(self._factor(psi), mode="r")
-            small = (r * self._sigma) @ r.conj().T
-            return float(np.abs(np.linalg.eigvalsh(small)).sum())
-        return float(np.abs(np.linalg.eigvalsh(self.output(psi))).sum())
+        r = np.linalg.qr(self._factor(psi), mode="r")
+        small = (r * self._sigma) @ r.conj().T
+        return float(np.abs(np.linalg.eigvalsh(small)).sum())
 
     def value_and_grad(self, psi: np.ndarray) -> tuple[float, np.ndarray]:
-        if self._use_factor:
-            y = self._factor(psi)
-            q, r = np.linalg.qr(y)
-            w, v = np.linalg.eigh((r * self._sigma) @ r.conj().T)
-            value = float(np.abs(w).sum())
-            # near-zero eigenvalues count as +; snapping them stops the sign
-            # matrix from jittering between iterations. X = Q V diag(w) V† Q†,
-            # so S = I − 2PP† with P = Q V restricted to the negative w.
-            self._neg = q @ v[:, w < -1e-9 * np.abs(w).max(initial=0.0)]
-            self._neg_h = np.ascontiguousarray(self._neg.conj().T)
-            return value, 2.0 * self._factored_sign(psi, y)
-        x = self.output(psi)
-        w, v = np.linalg.eigh(x)
+        y = self._factor(psi)
+        q, r = np.linalg.qr(y)
+        w, v = np.linalg.eigh((r * self._sigma) @ r.conj().T)
         value = float(np.abs(w).sum())
-        signs = np.where(w >= -1e-9 * np.abs(w).max(initial=0.0), 1.0, -1.0)
-        s = (v * signs) @ v.conj().T
-        self._s4 = np.ascontiguousarray(
-            s.reshape(self.out_dim, self.r_dim, self.out_dim, self.r_dim)
-        )
-        return value, 2.0 * self.apply_sign(psi)
+        # near-zero eigenvalues count as +; snapping them stops the sign
+        # matrix from jittering between iterations. X = Q V diag(w) V† Q†,
+        # so S = I − 2PP† with P = Q V restricted to the negative w.
+        self._neg = q @ v[:, w < -1e-9 * np.abs(w).max(initial=0.0)]
+        self._neg_h = np.ascontiguousarray(self._neg.conj().T)
+        return value, 2.0 * self._apply_sign(psi, y)
 
-    def _factored_sign(self, psi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """apply_sign(psi) on the factored path, given Y = _factor(psi)."""
+    def _apply_sign(self, psi: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """apply_sign(psi), given Y = _factor(psi)."""
         # (S − I) Y diag(σ) = −2 P (P† Y) diag(σ), pulled back through F†
         z = self._neg @ ((self._neg_h @ y) * (-2.0 * self._sigma))
         z = z.reshape(self.out_dim, self.r_dim, self._rank)
@@ -260,35 +238,24 @@ class TraceNormObjective:
     def apply_sign(self, psi: np.ndarray) -> np.ndarray:
         """Gψ for the linearization ⟨ψ|G|ψ⟩ = Tr[S X(ψ)] at the last expansion point.
 
-        Factored path: Y = _factor(ψ), then −2P(P†Y)·σ, one contraction back
-        through F†, plus the adjoint at I applied to M; S is never formed.
-        Dense path: two tensordots with the sign and Choi tensors.
+        Y = _factor(ψ), then −2P(P†Y)·σ, one contraction back through F†,
+        plus the adjoint at I applied to M.
         """
-        if self._use_factor:
-            return self._factored_sign(psi, self._factor(psi))
-        m = psi.reshape(self.in_dim, self.r_dim)
-        t = np.tensordot(self._s4, m, axes=([3], [1]))  # ysxr,ir -> ysxi
-        grad = np.tensordot(t, self._c4, axes=([0, 2, 3], [2, 0, 1])).T  # -> js
-        return grad.reshape(-1)
+        return self._apply_sign(psi, self._factor(psi))
 
     def surrogate_matrix(self) -> np.ndarray:
         """Dense Hermitian G with ⟨ψ|G|ψ⟩ = sign_value(ψ), Gψ = apply_sign(ψ).
 
-        One contraction of the sign tensor with the Choi tensor. On the
-        factored path the tensor is S − I = −2PP†, built here from the factor
-        (the capped proposal calls this only at psi.size <= 64), and the
-        identity part enters as the adjoint at I ⊗ I_R.
+        S − I = −2PP† is built from the factor (the capped proposal calls
+        this only at psi.size <= 64) and contracted once with the Choi
+        tensor; the identity part enters as the adjoint at I ⊗ I_R.
         """
         dim = self.in_dim * self.r_dim
-        s4 = self._s4
-        if self._use_factor:
-            s4 = (-2.0 * self._neg @ self._neg_h).reshape(
-                self.out_dim, self.r_dim, self.out_dim, self.r_dim
-            )
+        s4 = (-2.0 * self._neg @ self._neg_h).reshape(
+            self.out_dim, self.r_dim, self.out_dim, self.r_dim
+        )
         g = np.tensordot(s4, self._c4, axes=([0, 2], [2, 0]))  # ysxr,xiyj -> srij
-        g = g.transpose(3, 0, 2, 1).reshape(dim, dim)
-        if self._use_factor:
-            g = g + np.kron(self._adj_id, np.eye(self.r_dim))
+        g = g.transpose(3, 0, 2, 1).reshape(dim, dim) + np.kron(self._adj_id, np.eye(self.r_dim))
         return 0.5 * (g + g.conj().T)
 
     def sign_value(self, psi: np.ndarray) -> float:

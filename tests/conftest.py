@@ -85,6 +85,25 @@ def batch_difference_norms(ka, kb, mats):
     return np.abs(np.linalg.eigvalsh(x)).sum(axis=1)
 
 
+def kraus_sign_surrogate(ka, kb, psi, r_dim):
+    """(value, G) of the trace-norm objective linearized at ψ, via Kraus operators.
+
+    X(ψ) = Σ_φ vec(KM) vec(KM)† − Σ_ψ vec(KM) vec(KM)† for the coefficient
+    matrix M (input × reference, row-major), whose row-major vec(KM) is
+    (K ⊗ I_R) vec(M). S is the sign of X from `eigh`, with eigenvalues above
+    −1e-9·max|w| counted as +, and G = Σ_φ (K⊗I)†S(K⊗I) − Σ_ψ (K⊗I)†S(K⊗I),
+    so ⟨ψ|G|ψ⟩ = Tr[S X(ψ)]. The value is Σ|w|.
+    """
+    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    lifted = [(np.kron(k, np.eye(r_dim)), s) for kraus, s in ((ka, 1.0), (kb, -1.0)) for k in kraus]
+    x = sum(s * np.outer(k @ psi, (k @ psi).conj()) for k, s in lifted)
+    w, v = np.linalg.eigh(x)
+    signs = np.where(w >= -1e-9 * np.abs(w).max(initial=0.0), 1.0, -1.0)
+    sign = (v * signs) @ v.conj().T
+    g = sum(s * (k.conj().T @ sign @ k) for k, s in lifted)
+    return float(np.abs(w).sum()), g
+
+
 def _batch_energies(h_ev, mats):
     return np.einsum("bir,i,bir->b", mats.conj(), h_ev, mats).real
 

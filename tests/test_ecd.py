@@ -24,6 +24,7 @@ from ecdnorm import (
     HermitianPreservingMap,
     InfeasibleProblemError,
     OscillatorEntropyBound,
+    attenuator,
     diamond_upper_bound,
     ecd_objective,
     energy_constrained_sup,
@@ -342,6 +343,25 @@ def test_diamond_upper_bound_dominates_lower_estimate():
         dia = estimate_diamond_norm(the_map, restarts=4, max_iter=250)
         assert dia.lower <= dia.upper + 1e-12
         assert diamond_upper_bound(the_map) >= dia.lower - 1e-9
+
+
+def test_capped_map_without_kraus_pair_gets_an_energy_aware_upper():
+    """A capped map with no Kraus pair (here from `scaled`) is certified below
+    its Choi diamond bound by the truncation ladder.
+
+    The attenuators agree on the vacuum, so at E = 0.1 on an oscillator the
+    one-level rung costs only the tail, D·(2√0.1 + 0.1) ≈ 0.73·D.
+    """
+    d, budget = 4, 0.1
+    diff = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
+    the_map = diff.scaled(1.0)
+    assert the_map.kraus_pair is None
+    problem = EcdProblem(the_map, Hamiltonian(np.arange(d, dtype=float)), budget)
+    est = estimate_ecd_norm(problem, restarts=2, max_iter=100)
+    dia = diamond_upper_bound(the_map)
+    assert est.upper <= dia * (2.0 * math.sqrt(budget) + budget) + 1e-12
+    assert est.upper < 0.75 * dia
+    assert est.lower <= est.upper + 1e-12
 
 
 def test_lower_above_certificate_by_rounding_keeps_the_certificate():

@@ -6,7 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import batch_difference_norms, ginibre_density, haar_vector, random_channel
+from conftest import (
+    batch_difference_norms,
+    ginibre_density,
+    haar_vector,
+    kraus_sign_surrogate,
+    random_channel,
+)
 from ecdnorm import (
     EcdProblem,
     EnergyCap,
@@ -136,51 +142,62 @@ def test_objective_value_matches_direct_kraus_route():
             assert abs(obj.value(v) - want) < 1e-9
 
 
-def _factored_case(name):
-    """(Choi matrix, in, out, r, Choi rank) of a map on the factored path.
+def _objective_case(name):
+    """(Choi matrix, Kraus family of +, Kraus family of −, r, Choi rank).
 
     "IxOxRxK" is a difference of two random channels with K Kraus operators
-    from I to O levels, at reference dimension R."""
+    from I to O levels, at reference dimension R; "unbalanced" is φ − ½ψ,
+    whose adjoint at I, and so the identity part of every sign matrix, is
+    not zero."""
     rng = np.random.default_rng(33)
     if name == "phase-vs-identity":
-        diff = HermitianPreservingMap.difference(phase_rotation(5, 0.3), identity_channel(5))
-        return diff.choi, 5, 5, 3, 2
+        phi, psi = phase_rotation(5, 0.3), identity_channel(5)
+        return phi.choi - psi.choi, phi.kraus, psi.kraus, 3, 2
     if name == "zero":
         phi = random_channel(rng, 3, 4, 2)
-        return HermitianPreservingMap.difference(phi, phi).choi, 3, 4, 2, 0
+        return phi.choi - phi.choi, phi.kraus, phi.kraus, 2, 0
+    if name == "unbalanced":
+        phi, psi = random_channel(rng, 3, 4, 2), random_channel(rng, 3, 4, 2)
+        half = [np.sqrt(0.5) * k for k in psi.kraus]
+        return phi.choi - 0.5 * psi.choi, phi.kraus, half, 2, 4
     d_in, d_out, r, n_kraus = (int(c) for c in name.split("x"))
-    _, diff, _, _ = _difference_objective(rng, d_in, d_out, r, n_kraus)
-    return diff.choi, d_in, d_out, r, 2 * n_kraus
+    _, diff, phi, psi = _difference_objective(rng, d_in, d_out, r, n_kraus)
+    return diff.choi, phi.kraus, psi.kraus, r, 2 * n_kraus
 
 
 @pytest.mark.parametrize(
-    "case", ["3x3x2x1", "3x4x2x2", "2x5x3x2", "4x3x3x2", "4x2x5x2", "phase-vs-identity", "zero"]
+    "case",
+    [
+        "3x3x2x1", "3x4x2x2", "2x5x3x2", "4x3x3x2", "4x2x5x2", "phase-vs-identity", "zero",
+        "unbalanced",
+        # Choi rank above half of out·r, and above out·r itself
+        "3x3x2x2", "4x4x1x2", "2x2x1x2",
+    ],
 )
 def test_objective_factor_and_dense_paths_agree(case):
-    """The factored sign matrix acts like the dense one: on vectors other
-    than the expansion point, after successive expansions, and through the
-    capped proposal's dense surrogate."""
-    choi, d_in, d_out, r, rank = _factored_case(case)
+    """The factored sign matrix acts like the dense one that the Kraus route
+    builds from `eigh` of the full output: at the expansion point, on other
+    vectors, after successive expansions, and through the capped proposal's
+    dense surrogate."""
+    choi, ka, kb, r, rank = _objective_case(case)
+    d_out, d_in = ka[0].shape
     obj = TraceNormObjective(choi, d_in, d_out, r)
-    dense = TraceNormObjective(choi, d_in, d_out, r)
-    dense._use_factor = False
-    assert obj._use_factor and obj._rank == rank
+    assert obj._rank == rank
     rng = np.random.default_rng(331)
-    dim = d_in * r
     for _ in range(4):
-        v = haar_vector(rng, dim)
-        assert abs(obj.value(v) - dense.value(v)) < 1e-10
-        fa, ga = obj.value_and_grad(v)
-        fb, gb = dense.value_and_grad(v)
-        assert abs(fa - fb) < 1e-10
-        np.testing.assert_allclose(ga, gb, atol=1e-10)
-    g = obj.surrogate_matrix()
-    np.testing.assert_allclose(g, dense.surrogate_matrix(), atol=1e-10)
-    for _ in range(3):
-        u = haar_vector(rng, dim)
-        np.testing.assert_allclose(obj.apply_sign(u), dense.apply_sign(u), atol=1e-10)
-        np.testing.assert_allclose(g @ u, obj.apply_sign(u), atol=1e-12)
-        assert abs(obj.sign_value(u) - dense.sign_value(u)) < 1e-10
+        v = haar_vector(rng, d_in * r)
+        want, g = kraus_sign_surrogate(ka, kb, v, r)
+        assert abs(obj.value(v) - want) < 1e-10
+        f, grad = obj.value_and_grad(v)
+        assert abs(f - want) < 1e-10
+        np.testing.assert_allclose(grad, 2.0 * g @ v, atol=1e-10)
+        surrogate = obj.surrogate_matrix()
+        np.testing.assert_allclose(surrogate, g, atol=1e-10)
+        for _ in range(2):
+            u = haar_vector(rng, d_in * r)
+            np.testing.assert_allclose(obj.apply_sign(u), g @ u, atol=1e-10)
+            np.testing.assert_allclose(surrogate @ u, obj.apply_sign(u), atol=1e-12)
+            assert abs(obj.sign_value(u) - np.vdot(u, g @ u).real) < 1e-10
 
 
 def test_factored_sign_matrix_is_never_dense():
@@ -189,7 +206,7 @@ def test_factored_sign_matrix_is_never_dense():
     d = 24
     diff = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
     obj = TraceNormObjective(diff.choi, d, d, d)
-    assert obj._use_factor and obj._rank < 64
+    assert obj._rank < 64
     rng = np.random.default_rng(332)
     psi, u = haar_vector(rng, d * d), haar_vector(rng, d * d)
     dense_bytes = 16 * (d * d) ** 2
