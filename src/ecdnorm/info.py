@@ -5,7 +5,10 @@ first state has support outside the second (eigenvalue threshold 1e-12).
 The capacity estimator is a declared lower-bound heuristic: multi-start
 projected ascent over ensembles of pure states under a mean-energy cap on
 the average input, enforced by `EnergyCap.project` (one mixing weight
-toward the ground state, shared by every state of the ensemble).
+toward the ground state, shared by every state of the ensemble). The ascent
+is batched over the ensemble: every output state comes from one product
+with the stacked Kraus operators, and an evaluation makes one stacked
+eigendecomposition of the outputs plus one of their average.
 """
 
 from __future__ import annotations
@@ -33,16 +36,25 @@ def _matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
 
 
-def _entropy_nd(m: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(m)
+def _spectral_entropy(w: np.ndarray) -> np.ndarray:
+    """-Σ w ln w over the last axis, with negative rounding counted as 0."""
     w = np.clip(w, 0.0, None)
-    nz = w[w > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
+
+
+def _entropy_nd(m: np.ndarray) -> np.ndarray:
+    """Entropies of a matrix or a stack of matrices (..., n, n)."""
+    return _spectral_entropy(np.linalg.eigvalsh(m))
+
+
+def _isometry(channel: Channel) -> np.ndarray:
+    """The Kraus operators stacked into one (n_kraus·out) × in matrix."""
+    return np.concatenate(channel.kraus)
 
 
 def entropy(rho) -> float:
     """Von Neumann entropy -Tr[ρ ln ρ]."""
-    val = _entropy_nd(_matrix(rho))
+    val = float(_entropy_nd(_matrix(rho)))
     return max(val, 0.0)
 
 
@@ -106,9 +118,8 @@ class Ensemble:
 def holevo_quantity(ensemble: Ensemble) -> float:
     """χ = H(Σ p_i ρ_i) - Σ p_i H(ρ_i), equal to Σ p_i H(ρ_i || ρ̄)."""
     avg = ensemble.average()
-    val = _entropy_nd(avg) - sum(
-        p * _entropy_nd(s.matrix) for p, s in zip(ensemble.probs, ensemble.states)
-    )
+    states = np.stack([s.matrix for s in ensemble.states])
+    val = float(_entropy_nd(avg) - np.asarray(ensemble.probs) @ _entropy_nd(states))
     return max(val, 0.0)
 
 
@@ -118,7 +129,7 @@ def mutual_information(rho, dims: tuple[int, int]) -> float:
     da, db = dims
     if m.shape != (da * db, da * db):
         raise ValueError(f"state shape {m.shape} does not match factor dims {dims}")
-    val = (
+    val = float(
         _entropy_nd(partial_trace(m, dims, keep=0))
         + _entropy_nd(partial_trace(m, dims, keep=1))
         - _entropy_nd(m)
@@ -144,11 +155,9 @@ def channel_mutual_information(channel: Channel, rho: DensityOperator) -> float:
     # purification coefficients as a matrix (input × reference)
     m = vecs * np.sqrt(lam)
     out_dim = channel.out_dim
-    big = np.zeros((out_dim * rank, out_dim * rank), dtype=np.complex128)
-    for k in channel.kraus:
-        vec = (k @ m).reshape(-1)
-        big += np.outer(vec, vec.conj())
-    return mutual_information(big, (out_dim, rank))
+    # row j holds vec(K_j m), and the output state is Σ_j vec(K_j m) vec(K_j m)†
+    vecs = (_isometry(channel) @ m).reshape(-1, out_dim * rank)
+    return mutual_information(vecs.T @ vecs.conj(), (out_dim, rank))
 
 
 def output_energy_sup(
@@ -157,10 +166,8 @@ def output_energy_sup(
     """Exact sup of Tr[H_out Φ(ρ)] over inputs with Tr[H_in ρ] <= budget."""
     if h_in.dimension != channel.in_dim or h_out.dimension != channel.out_dim:
         raise ValueError("Hamiltonian dimensions do not match the channel")
-    adj = np.zeros((channel.in_dim, channel.in_dim), dtype=np.complex128)
-    hm = h_out.matrix
-    for k in channel.kraus:
-        adj += k.conj().T @ hm @ k
+    kraus = np.stack(channel.kraus)
+    adj = (np.swapaxes(kraus, 1, 2).conj() @ h_out.matrix @ kraus).sum(axis=0)
     return energy_constrained_sup(adj, h_in, energy_budget)
 
 
@@ -178,13 +185,18 @@ def energy_gain(
 
 
 class _EnsembleAscent:
-    """Holevo-quantity ascent over pure-state ensembles with an energy cap."""
+    """Holevo-quantity ascent over pure-state ensembles with an energy cap.
+
+    The K states are rows of one (K, d) array; with the Kraus operators
+    stacked into V (rows K_j), the (K, n_kraus, out) array of the K_j ψ_k
+    is one product, and every output ρ_k = Σ_j K_j ψ_k ψ_k† K_j† follows.
+    """
 
     def __init__(self, channel: Channel, h_in: Hamiltonian, budget: float, size: int):
-        self.channel = channel
         self.cap = EnergyCap(h_in, 1, budget)
         self.size = size
-        self.d = channel.in_dim
+        self._kraus = _isometry(channel)
+        self._out = channel.out_dim
 
     def _project(self, psis: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """Cap the energy of the average input: every state is mixed toward
@@ -192,41 +204,38 @@ class _EnsembleAscent:
         return self.cap.project(psis[:, :, None], probs)[:, :, 0]
 
     def _forward(self, logits: np.ndarray, psis: np.ndarray):
+        """Weights, projected states, the K_j ψ_k, the outputs and their average."""
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
         psis = psis / np.linalg.norm(psis, axis=1, keepdims=True)
         psis = self._project(psis, probs)
-        outs = np.stack([apply_channel(self.channel, np.outer(p, p.conj())) for p in psis])
-        avg = np.einsum("k,kab->ab", probs, outs)
-        chi = _entropy_nd(avg) - float(sum(p * _entropy_nd(o) for p, o in zip(probs, outs)))
-        return probs, psis, outs, avg, chi
+        images = (psis @ self._kraus.T).reshape(self.size, -1, self._out)
+        outs = np.swapaxes(images, 1, 2) @ images.conj()
+        avg = np.tensordot(probs, outs, axes=1)
+        return probs, psis, images, outs, avg
 
     def value(self, logits: np.ndarray, psis: np.ndarray) -> float:
-        return self._forward(logits, psis)[-1]
+        probs, _, _, outs, avg = self._forward(logits, psis)
+        return float(_entropy_nd(avg) - probs @ _entropy_nd(outs))
 
     def value_and_grads(self, logits, psis):
-        probs, psis, outs, avg, chi = self._forward(logits, psis)
+        probs, psis, images, outs, avg = self._forward(logits, psis)
+        w_outs, v_outs = np.linalg.eigh(outs)
+        w_avg, v_avg = np.linalg.eigh(avg)
+        s_outs = _spectral_entropy(w_outs)
+        chi = float(_spectral_entropy(w_avg) - probs @ s_outs)
 
-        def safe_log(m):
-            w, v = np.linalg.eigh(m)
-            return (v * np.log(np.clip(w, EIG_FLOOR, None))) @ v.conj().T
+        def safe_log(w, v):
+            logs = np.log(np.clip(w, EIG_FLOOR, None))[..., None, :]
+            return (v * logs) @ np.swapaxes(v, -1, -2).conj()
 
-        log_avg = safe_log(avg)
-        # state gradients: 2 p_k Φ*(ln ρ_k - ln ρ̄) ψ_k
-        grad_psis = np.zeros_like(psis)
-        for k in range(self.size):
-            diff = safe_log(outs[k]) - log_avg
-            back = np.zeros((self.d, self.d), dtype=np.complex128)
-            for op in self.channel.kraus:
-                back += op.conj().T @ diff @ op
-            grad_psis[k] = 2.0 * probs[k] * (back @ psis[k])
-        # probability gradients through the softmax
-        dchi = np.array(
-            [
-                -float(np.trace(outs[k] @ log_avg).real) - _entropy_nd(outs[k])
-                for k in range(self.size)
-            ]
-        )
+        log_avg = safe_log(w_avg, v_avg)
+        # state gradients: 2 p_k Φ*(ln ρ_k - ln ρ̄) ψ_k = 2 p_k Σ_j K_j† (diff_k K_j ψ_k)
+        diffs = safe_log(w_outs, v_outs) - log_avg
+        pulled = images @ np.swapaxes(diffs, 1, 2)
+        grad_psis = 2.0 * probs[:, None] * (pulled.reshape(self.size, -1) @ self._kraus.conj())
+        # probability gradients through the softmax: dχ/dp_k = -Tr[ρ_k ln ρ̄] - H(ρ_k)
+        dchi = -np.einsum("kab,ba->k", outs, log_avg).real - s_outs
         grad_logits = probs * (dchi - float(probs @ dchi))
         return chi, grad_logits, grad_psis
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ginibre_density, haar_vector, loop_partial_trace, random_channel
+from conftest import ginibre_density, haar_vector, kraus_apply, loop_partial_trace, random_channel
 from ecdnorm import (
     Channel,
     DensityOperator,
@@ -14,6 +14,7 @@ from ecdnorm import (
     Hamiltonian,
     TruncatedOscillator,
     apply_channel,
+    attenuator,
     channel_mutual_information,
     depolarize_to,
     energy_gain,
@@ -271,6 +272,100 @@ def test_ensemble_projection_shares_one_weight():
         assert np.ptp(weights.real) <= 1e-6 * weights.real.max() + 1e-13
         projected += 1
     assert projected >= 30 and feasible >= 5
+
+
+def _softmax(logits):
+    p = np.exp(logits - logits.max())
+    return p / p.sum()
+
+
+def _kraus_chi(kraus, probs, states):
+    """χ of the output ensemble, by Kraus sums and eigvalsh, with the states taken as given."""
+
+    def h(m):
+        w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+        w = w[w > 0.0]
+        return float(-(w * np.log(w)).sum())
+
+    outs = [kraus_apply(kraus, np.outer(s, s.conj())) for s in states]
+    return h(sum(p * o for p, o in zip(probs, outs))) - sum(p * h(o) for p, o in zip(probs, outs))
+
+
+def _ascent_cases():
+    """Multi-Kraus channels with infeasible random starts (d = 5, budget 0.6)."""
+    rng = np.random.default_rng(83)
+    h = TruncatedOscillator(5, 1.0).hamiltonian
+    for channel in (attenuator(5, 0.7), random_channel(rng, 5, 4, 3)):
+        size = 4
+        logits = rng.standard_normal(size)
+        psis = rng.standard_normal((size, 5)) + 1j * rng.standard_normal((size, 5))
+        yield _EnsembleAscent(channel, h, 0.6, size), channel, logits, psis
+
+
+def test_ensemble_ascent_gradients_match_finite_differences():
+    """value_and_grads returns χ of the projected output ensemble and its
+    gradients there: in the logits through the softmax, and in the complex
+    states (df = Re⟨g, δ⟩), with the projected states held fixed. Checked by
+    central differences of an independent Kraus-route χ."""
+    step = 1e-6
+    for ascent, channel, logits, psis in _ascent_cases():
+        probs = _softmax(logits)
+        unit = psis / np.linalg.norm(psis, axis=1, keepdims=True)
+        states = ascent._project(unit, probs)
+        # the start is over the budget, so the projection moved every state
+        assert np.abs(states - unit).max(axis=1).min() > 1e-3
+        chi, g_logits, g_psis = ascent.value_and_grads(logits, psis)
+        ensemble = Ensemble(tuple(probs), tuple(DensityOperator.pure(s) for s in states))
+        assert abs(chi - holevo_quantity(ensemble.map_through(channel))) < 1e-12
+        assert abs(ascent.value(logits, psis) - chi) < 1e-12
+        kraus = channel.kraus
+        fd_logits = np.array(
+            [
+                (
+                    _kraus_chi(kraus, _softmax(logits + step * e), states)
+                    - _kraus_chi(kraus, _softmax(logits - step * e), states)
+                )
+                / (2.0 * step)
+                for e in np.eye(len(logits))
+            ]
+        )
+        np.testing.assert_allclose(g_logits, fd_logits, atol=1e-8)
+        fd_psis = np.zeros_like(g_psis)
+        for k in range(len(states)):
+            for i in range(states.shape[1]):
+                for unit_step in (1.0, 1j):
+                    plus, minus = states.copy(), states.copy()
+                    plus[k, i] += step * unit_step
+                    minus[k, i] -= step * unit_step
+                    rise = _kraus_chi(kraus, probs, plus) - _kraus_chi(kraus, probs, minus)
+                    fd_psis[k, i] += rise / (2.0 * step) * unit_step
+        np.testing.assert_allclose(g_psis, fd_psis, atol=1e-8)
+        assert np.abs(g_psis).max() > 1e-2 and np.abs(g_logits).max() > 1e-3
+
+
+def test_ensemble_ascent_eigensolve_count(monkeypatch):
+    """One gradient evaluation makes one stacked eigh of the outputs and one of
+    their average; one value evaluation makes at most two eigensolves."""
+    calls = 0
+
+    def counted(solver):
+        def wrapper(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return solver(*args, **kwargs)
+
+        return wrapper
+
+    cases = list(_ascent_cases())
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    for ascent, _, logits, psis in cases:
+        calls = 0
+        ascent.value_and_grads(logits, psis)
+        assert calls == 2
+        calls = 0
+        ascent.value(logits, psis)
+        assert calls <= 2
 
 
 def test_capacity_estimate_identity_channel():

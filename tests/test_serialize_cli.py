@@ -31,6 +31,7 @@ from ecdnorm.serialize import (
     matrix_from_json,
     matrix_to_json,
 )
+from ecdnorm import cli
 from ecdnorm.cli import main
 
 
@@ -314,6 +315,50 @@ def test_cli_experiment_smoke(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["result"]["ea_depolarizer"] < 1e-9
     assert abs(doc["result"]["ea_identity"] - doc["result"]["twice_max_entropy"]) < 1e-6
+
+
+def test_cli_main_reuses_one_parser(workdir, monkeypatch, capsys):
+    """Calls of main in one process print what a fresh parser prints for each
+    call, in order: no default or namespace carries over, and the parser is
+    built once."""
+    small = ("--levels", "3", "--energy", "1.0", "--restarts", "1", "--max-iter", "5")
+    bound = ("cchi", "--eps", "0.05", "--energy", "2.0", "--fhat", "osc:1.0")
+    calls = [
+        ["cap-est", "--channel", str(workdir / "phi.json"),
+         "--hamiltonian", str(workdir / "h.json"), "--energy", "1.0", *small[4:]],
+        ["experiment", "strong-convergence", "--thetas", "0.5,0.1", *small],
+        ["experiment", "strong-convergence", *small],
+        ["experiment", "strong-convergence", "--thetas", "0.5,nan", *small],
+        ["optimize-t", *bound, "--log-shift"],
+        ["optimize-t", *bound],
+    ]
+    builds = 0
+    build_parser = cli.build_parser
+
+    def counted_build():
+        nonlocal builds
+        builds += 1
+        return build_parser()
+
+    def run_all():
+        results = []
+        for argv in calls:
+            code = main(list(argv))
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    reused = run_all()
+    assert builds == 1
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", counted_build)
+        fresh = run_all()
+    assert builds == 1 + len(calls)
+    assert [r[0] for r in reused] == [0, 0, 0, 2, 0, 0]
+    assert reused == fresh
+    assert reused[1][1] != reused[2][1] and reused[4][1] != reused[5][1]
+    cli._parser.cache_clear()
 
 
 FAST = ("--restarts", "1", "--max-iter", "5")
