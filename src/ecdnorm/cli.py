@@ -268,7 +268,7 @@ def _cmd_energy_gain(args):
 
 
 def _cmd_bound(args):
-    if not args.sweep and (args.optimize_t or args.t is None):
+    if not args.sweep and args.t is None:
         return _cmd_optimize_t(args)
     eb = _entropy_bound_from_spec(args.fhat)
     bound = BOUND_KINDS[args.kind]
@@ -281,10 +281,10 @@ def _cmd_bound(args):
         for t in t_grid(args.eps, args.sweep):
             bv = at(float(t))
             rows.append([float(t), bv.total, bv.main_term, bv.g_term, bv.h2_term])
-        config = _config(args, omit=("t", "optimize_t"), **_fhat_echo(eb))
+        config = _config(args, omit=("t",), **_fhat_echo(eb))
         return Sweep(config, ["t", "total", "main", "g", "h2"], rows)
     return _document(
-        args, asdict(at(args.t)), omit=("optimize_t", "sweep"), **_fhat_echo(eb)
+        args, asdict(at(args.t)), omit=("sweep",), **_fhat_echo(eb)
     )
 
 
@@ -299,7 +299,7 @@ def _cmd_optimize_t(args):
         use_log_shift=args.log_shift,
     )
     return _document(
-        args, asdict(bv), omit=("optimize_t", "sweep"), t="optimized", **_fhat_echo(eb)
+        args, asdict(bv), omit=("sweep",), t="optimized", **_fhat_echo(eb)
     )
 
 
@@ -576,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log-shift", action="store_true")
         if name == "bound":
             p.add_argument("--t", type=_finite_float, default=None)
-            p.add_argument("--optimize-t", action="store_true")
             p.add_argument("--sweep", type=_non_negative, default=0, help="emit a CSV sweep over t")
         add_common(p, seeded=False)
         p.set_defaults(handler=handler)

@@ -4,8 +4,9 @@ Entropies use natural logarithms. relative_entropy returns math.inf when the
 first state has support outside the second (eigenvalue threshold 1e-12).
 The capacity estimator is a declared lower-bound heuristic: multi-start
 projected ascent over ensembles of pure states under a mean-energy cap on
-the average input, enforced by `EnergyCap.project` (one mixing weight
-toward the ground state, shared by every state of the ensemble). The ascent
+the average input, enforced by `EnergyCap.project` (each state is mixed
+toward the ground state in closed form, and every state keeps the same
+fraction of its energy above the ground energy). The ascent
 is batched over the ensemble: every output state comes from one product
 with the stacked Kraus operators, and an evaluation makes one stacked
 eigendecomposition of the outputs plus one of their average.
@@ -200,7 +201,8 @@ class _EnsembleAscent:
 
     def _project(self, psis: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """Cap the energy of the average input: every state is mixed toward
-        its ground direction with one shared weight (`EnergyCap.project`)."""
+        its ground direction and keeps the same fraction of its energy above
+        the ground energy (`EnergyCap.project`)."""
         return self.cap.project(psis[:, :, None], probs)[:, :, 0]
 
     def _forward(self, logits: np.ndarray, psis: np.ndarray):

@@ -83,16 +83,16 @@ class EnergyCap:
     (K × input × reference) at the budget E; `__call__` is its K = 1 case. An
     infeasible batch is mixed toward the lowest-energy product directions
     g_k = τ₀ ⊗ r̂_k, with r̂_k the normalized reference profile τ₀†m_k (e₀ when
-    it vanishes), by one weight t shared by every block. With a_k = e(m_k),
-    c_k = Re⟨m_k|g_k⟩ and b_k = Re⟨m_k|H⊗I|g_k⟩ = E₀c_k (τ₀ is a ground
-    state of energy E₀), the mean energy of the normalized mixes m_k + t·g_k,
-    Σ_k w_k (a_k + 2t·b_k + t²E₀) / (1 + 2t·c_k + t²)
-    = E₀ + Σ_k w_k (a_k − E₀) / (1 + 2t·c_k + t²), falls with t. One block
-    meets E at the positive root of a quadratic; several at the root of a
-    safeguarded Newton iteration bracketed by the largest of the blocks' own
-    roots. If rounding leaves the mix above E, t is solved once more for
-    E − ½·1e-12·max(1, E), so an infeasible input lands in
-    [E − 1e-12·max(1, E), E]; the ground directions are the last fallback.
+    it vanishes). With a_k = e(m_k), s_k = a_k − E₀ and c_k = Re⟨m_k|g_k⟩
+    (τ₀ is a ground state of energy E₀), the normalized mix m_k + t_k·g_k has
+    energy E₀ + s_k / (1 + 2t_k·c_k + t_k²). Each block takes the t_k that
+    solves t_k² + 2t_k·c_k = q, t_k = q / (c_k + √(c_k² + q)), so every block
+    keeps the same fraction 1/(1 + q) of its energy above E₀. With
+    q = Σ_k w_k s_k / (E − slack − E₀) − 1 the weighted mean lands on
+    E − slack without iteration; the slack, ½·1e-12·max(1, E) (at most half
+    of E − E₀), is more than rounding can add, so an infeasible input lands
+    in [E − 1e-12·max(1, E), E]. The ground directions are the fallback
+    should the mix still read above E.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, r_dim: int, budget: float):
@@ -133,35 +133,12 @@ class EnergyCap:
         c = np.where(dead[:, 0], profiles[:, 0].real, rn[:, 0])
         ground = self._tau0[None, :, None] * rhat[:, None, :]
         slack = min(0.5e-12 * max(1.0, self.budget), 0.5 * (self.budget - self._e0))
-        for target in (self.budget, self.budget - slack):
-            mixed = blocks + self._shared_weight(a - self._e0, c, weights, target) * ground
-            mixed /= np.linalg.norm(mixed, axis=(1, 2), keepdims=True)
-            if weights @ self._energies(mixed) <= self.budget:
-                return mixed
+        q = weights @ (a - self._e0) / (self.budget - slack - self._e0) - 1.0
+        mixed = blocks + (q / (c + np.sqrt(c * c + q)))[:, None, None] * ground
+        mixed /= np.linalg.norm(mixed, axis=(1, 2), keepdims=True)
+        if weights @ self._energies(mixed) <= self.budget:
+            return mixed
         return ground
-
-    def _shared_weight(self, s, c, weights, target: float) -> float:
-        """The least t found with Σ_k w_k s_k / (1 + 2t·c_k + t²) <= target − E₀."""
-        gap = target - self._e0
-        hot = s > gap
-        # a block's own root solves t² + 2c·t = s/gap − 1 =: q (written free of
-        # cancellation); past it the block is at or under the target, so the
-        # largest root bounds the shared t, and for one block it is the answer
-        q, ch = s[hot] / gap - 1.0, c[hot]
-        lo, hi = 0.0, float((q / (ch + np.sqrt(ch * ch + q))).max(initial=0.0))
-        if len(s) == 1:
-            return hi
-        t = hi
-        for _ in range(60):
-            n = 1.0 + 2.0 * t * c + t * t
-            f = weights @ (s / n) - gap
-            lo, hi = (t, hi) if f > 0.0 else (lo, t)
-            if -1e-14 * max(1.0, abs(target)) <= f <= 0.0 or hi - lo <= 1e-15 * hi:
-                break
-            t += f / (2.0 * weights @ (s * (c + t) / (n * n)))
-            if not lo < t < hi:
-                t = 0.5 * (lo + hi)
-        return hi
 
 
 class TraceNormObjective:
@@ -625,11 +602,12 @@ class EnergyConstrainedSup:
 
     value comes from the dual min_{μ>=0} λmax(M - μH) + μ·budget, which is
     tight here, solved by `_energy_dual` to a bracket of 1e-12·max(1, μ);
-    multiplier is the minimizing μ. state is a feasible primal certificate of
-    rank at most two, the mix of the top eigenvectors at both ends of the
-    final bracket that meets the budget exactly (the top eigenvector at μ = 0
-    when that is optimal), and attained is its objective value, so
-    value - attained is the (tiny) duality gap.
+    multiplier is the minimizing μ. state is a feasible pure primal
+    certificate: the best vector in the span of the top eigenvectors at both
+    ends of the final bracket, which meets the budget exactly (the top
+    eigenvector at μ = 0 when that is optimal), as the capped proposal picks
+    it; attained is its objective value, so value - attained is the (tiny)
+    duality gap.
     """
 
     value: float
@@ -645,11 +623,7 @@ def energy_constrained_sup(
     h = hamiltonian.matrix
     m = 0.5 * (m + m.conj().T)
     mu, value, lo_top, hi_top = _energy_dual(m, h, budget, 0.0, 1e-12)
-    state = np.outer(hi_top, hi_top.conj())
-    if lo_top is not None:
-        e_lo = float(np.vdot(lo_top, h @ lo_top).real)
-        e_hi = float(np.vdot(hi_top, h @ hi_top).real)
-        alpha = (budget - e_hi) / (e_lo - e_hi)
-        state = alpha * np.outer(lo_top, lo_top.conj()) + (1.0 - alpha) * state
+    top = hi_top if lo_top is None else _best_in_span(lo_top, hi_top, m, h, budget)
+    state = np.outer(top, top.conj())
     attained = float(np.trace(m @ state).real)
     return EnergyConstrainedSup(value=value, state=state, attained=attained, multiplier=mu)

@@ -19,6 +19,7 @@ from ecdnorm import (
     depolarize_to,
     energy_gain,
     entropy,
+    g,
     h2,
     holevo_capacity_estimate,
     holevo_quantity,
@@ -239,16 +240,19 @@ def _projection_cases():
     yield h, 1.5, h.eigenbasis.T.astype(np.complex128), probs / probs.sum()
 
 
-def test_ensemble_projection_shares_one_weight():
-    """The ascent's projection mixes each state toward its ground direction
-    with one weight t shared by the whole ensemble."""
+def test_ensemble_projection_shares_one_energy_fraction():
+    """The ascent's projection mixes each state toward its ground direction,
+    and every state keeps the same fraction of its energy above the ground."""
     projected = feasible = 0
     for h, budget, psis, probs in _projection_cases():
         ascent = _EnsembleAscent(identity_channel(h.dimension), h, budget, len(probs))
         out = ascent._project(psis, probs)
 
+        def energies(states):
+            return np.einsum("ki,ij,kj->k", states.conj(), h.matrix, states).real
+
         def mean_energy(states):
-            return float(probs @ np.einsum("ki,ij,kj->k", states.conj(), h.matrix, states).real)
+            return float(probs @ energies(states))
 
         if mean_energy(psis) <= budget:
             np.testing.assert_array_equal(out, psis)
@@ -269,7 +273,11 @@ def test_ensemble_projection_shares_one_weight():
         weights = np.array(weights)
         assert np.all(weights.real > 0.0)
         assert np.abs(weights.imag).max() <= 1e-9 * weights.real.max()
-        assert np.ptp(weights.real) <= 1e-6 * weights.real.max() + 1e-13
+        e0 = h.eigenvalues[0]
+        excess = energies(psis) - e0
+        hot = excess > 1e-9
+        fractions = (energies(out)[hot] - e0) / excess[hot]
+        assert np.ptp(fractions) <= 1e-9 * fractions.max()
         projected += 1
     assert projected >= 30 and feasible >= 5
 
@@ -383,6 +391,14 @@ def test_capacity_estimate_constant_channel():
     h = Hamiltonian([0.0, 1.0, 2.0])
     cap = holevo_capacity_estimate(depolarize_to(sigma, 1.0), h, 0.5, restarts=2, max_iter=100)
     assert cap < 1e-8
+
+
+def test_capacity_estimate_attenuator_floor():
+    """At mean photon number N = 1 the attenuator's capacity g(ηN) bounds the
+    estimate; a short run on 6 levels must still reach 0.9 nats."""
+    h = TruncatedOscillator(6).hamiltonian
+    cap = holevo_capacity_estimate(attenuator(6, 0.7), h, 1.5, restarts=2, max_iter=25)
+    assert 0.9 <= cap <= g(0.7)
 
 
 def test_data_processing_for_holevo_quantity():

@@ -377,6 +377,9 @@ def test_energy_constrained_sup_dominates_primal_samples():
     m = 0.5 * (m + m.conj().T)
     res = energy_constrained_sup(m, h, budget)
     assert res.attained <= res.value + 1e-9
+    # the primal certificate is one pure state within the budget
+    assert np.linalg.matrix_rank(res.state, tol=1e-12) == 1
+    assert float(np.trace(h.matrix @ res.state).real) <= budget + 1e-12
     ground = np.zeros((d, d))
     ground[0, 0] = 1.0
     worst = -np.inf

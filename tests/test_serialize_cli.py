@@ -191,6 +191,9 @@ def test_cli_validation_is_exit_2(workdir):
         "--copies", "5",
     )
     assert res.returncode == 2 and "copies" in res.stderr
+    # omitting --t optimizes it; there is no flag for that
+    res = run_cli("bound", "chi", "--eps", "0.1", "--energy", "1", "--fhat", "osc:1", "--optimize-t")
+    assert res.returncode == 2 and "--optimize-t" in res.stderr
 
 
 @pytest.mark.parametrize(
