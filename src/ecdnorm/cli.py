@@ -484,7 +484,7 @@ def _grid_spec(text: str) -> list:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must look like lo:hi:num")
-    return [_finite_float(parts[0]), _finite_float(parts[1]), int(parts[2])]
+    return [_finite_float(parts[0]), _finite_float(parts[1]), _positive(parts[2])]
 
 
 def build_parser() -> argparse.ArgumentParser:

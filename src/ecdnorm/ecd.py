@@ -4,14 +4,17 @@ The quantity of interest is
 
     sup ||(Θ ⊗ id_R)(|ψ⟩⟨ψ|)||_1   over unit ψ on A⊗R with <ψ|H⊗I|ψ> <= E.
 
-A multi-start projected ascent produces a certified achievable lower value
-together with its witness; the upper side of the bracket is the cheapest of
-several rigorous certificates (Choi-based diamond bound, the generic 2 for
-channel differences, and under an energy cap a Stinespring-alignment bound
-for channel differences or, for any other map, a tail-truncation ladder).
-Estimates never exceed certificates, so the pair brackets the true norm. The
-unconstrained diamond norm is the member of the family with no energy cap,
-bracketed by the same routine.
+A multi-start monotone ascent gives a certified achievable lower value and
+its witness. Each ascent takes one proposal kind (the capped maximizer of
+the sign linearization at psi.size <= 64, a projected gradient step under a
+larger cap, the Lanczos Ritz vector with no cap) and stops at the first
+proposal that does not improve, or on a stall. The upper side of the bracket
+is the cheapest of several rigorous certificates (Choi-based diamond bound,
+the generic 2 for channel differences, and under an energy cap a
+Stinespring-alignment bound for channel differences or, for any other map, a
+tail-truncation ladder). Estimates never exceed certificates, so the pair
+brackets the true norm. The unconstrained diamond norm is the member of the
+family with no energy cap, bracketed by the same routine.
 """
 
 from __future__ import annotations

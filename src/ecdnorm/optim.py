@@ -1,11 +1,13 @@
 """Shared numerical machinery.
 
-Projected gradient ascent on the unit sphere with an optional mean-energy
-cap, deterministic multi-starts, a hand-rolled golden-section search, and one
-solver for maximizing a linear functional over energy-bounded states: the
-one-dimensional dual min_{μ≥0} λmax(G − μK) + μE, minimized by safeguarded
-Newton steps on Danskin's derivative E − ⟨v|K|v⟩. The dense capped proposal
-of the ascent and `energy_constrained_sup` both use it.
+Monotone ascent on the unit sphere with one proposal kind per problem (the
+capped proposal under a small energy cap, a projected gradient step under a
+larger cap, the Lanczos Ritz vector with no cap), stopped by the first
+proposal that does not improve; deterministic multi-starts; a golden-section
+search; and one solver for maximizing a linear functional over
+energy-bounded states: the one-dimensional dual min_{μ≥0} λmax(G − μK) + μE,
+minimized by safeguarded Newton steps on Danskin's derivative E − ⟨v|K|v⟩,
+which the capped proposal and `energy_constrained_sup` both use.
 """
 
 from __future__ import annotations
@@ -249,11 +251,13 @@ LANCZOS_STEPS = 24
 
 
 def _lanczos_top(matvec, start: np.ndarray, iters: int) -> np.ndarray | None:
-    """Approximate top eigenvector of a Hermitian operator given by matvec.
+    """Top Ritz vector of a Hermitian operator given by matvec: the uncapped
+    ascent's proposal.
 
-    Krylov space grown from `start` with full reorthogonalization; fine for
-    the moderate dimensions used here. Returns None when the space degenerates
-    immediately (start already invariant).
+    The Krylov space is grown from `start` with full reorthogonalization
+    (fine at the dimensions used here), so it contains `start` and the Ritz
+    value is at least start's Rayleigh quotient. Returns None when the space
+    degenerates immediately (start already invariant).
     """
     dim = start.size
     iters = min(iters, dim)
@@ -261,7 +265,6 @@ def _lanczos_top(matvec, start: np.ndarray, iters: int) -> np.ndarray | None:
     basis[0] = start / np.linalg.norm(start)
     alphas: list[float] = []
     betas: list[float] = []
-    k = 0
     for j in range(iters):
         w = matvec(basis[j])
         alphas.append(float(np.vdot(basis[j], w).real))
@@ -275,51 +278,12 @@ def _lanczos_top(matvec, start: np.ndarray, iters: int) -> np.ndarray | None:
             break
         betas.append(b)
         basis[k] = w / b
-    if k == 1 and not betas:
+    if k == 1:
         return None
-    tri = np.diag(alphas[:k])
-    for j, b in enumerate(betas[: k - 1]):
-        tri[j, j + 1] = tri[j + 1, j] = b
-    ritz = np.linalg.eigh(tri)[1][:, -1]
+    # the tridiagonal Lanczos matrix; eigh reads only its lower triangle
+    ritz = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))[1][:, -1]
     top = ritz @ basis[:k]
     return top / np.linalg.norm(top)
-
-
-def _linearized_proposal(objective, psi, g_psi, prev, project):
-    """Best surrogate vector over span{psi, Lanczos top direction, prev}.
-
-    The span maximization is exact (a 3x3 eigenproblem) and reuses the
-    already-computed matvec results, which avoids the slow zigzag of jumping
-    all the way to the linearization's top eigenvector each round.
-    """
-    cand = _lanczos_top(objective.apply_sign, psi, LANCZOS_STEPS)
-    if cand is None:
-        return None
-    basis = [psi]
-    actions = [g_psi]
-    for v in (cand, prev):
-        if v is None:
-            continue
-        gv = objective.apply_sign(v)
-        coeffs = [np.vdot(b, v) for b in basis]
-        w = v - sum(c * b for c, b in zip(coeffs, basis))
-        nrm = np.linalg.norm(w)
-        if nrm <= 1e-8:
-            continue
-        basis.append(w / nrm)
-        actions.append((gv - sum(c * a for c, a in zip(coeffs, actions))) / nrm)
-    k = len(basis)
-    h = np.empty((k, k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            h[i, j] = np.vdot(basis[i], actions[j])
-    h = 0.5 * (h + h.conj().T)
-    top = np.linalg.eigh(h)[1][:, -1]
-    out = sum(c * b for c, b in zip(top, basis))
-    out = out / np.linalg.norm(out)
-    if project is not None:
-        out = project(out)
-    return out
 
 
 CAP_PROPOSAL_MAX_DIM = 64
@@ -491,62 +455,54 @@ def ascend(
     start: np.ndarray,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
     max_iter: int = MAX_ITER,
-    window: int = STALL_WINDOW,
-    rel_tol: float = STALL_REL_TOL,
 ) -> tuple[float, np.ndarray]:
-    """Monotone ascent on the unit sphere.
+    """Monotone ascent on the unit sphere with one proposal kind per problem.
 
-    Each iteration first proposes a jump toward the top eigenvector of the
-    current linearization (Lanczos), falling back to a backtracking gradient
-    step. Candidates are screened with the linearized value, which
-    lower-bounds the true objective, so accepted steps always improve and
-    only one eigendecomposition of the output is paid per accepted
-    iteration. Stops when the relative improvement over `window` iterations
-    drops below rel_tol, when backtracking stalls, or at max_iter.
+    An `EnergyCap` at psi.size <= CAP_PROPOSAL_MAX_DIM takes `_capped_proposal`
+    (the exact maximizer of the linearization under the cap), no projection
+    takes the Lanczos Ritz vector of the linearization, and any other
+    projection takes a projected gradient step whose length halves until it
+    improves. Candidates are screened once with the linearized value, which
+    lower-bounds the true objective, so every accepted step improves and
+    costs one eigendecomposition of the output. Stops at the first candidate
+    that does not improve (for the gradient step, once its length is below
+    1e-13), when the gain over STALL_WINDOW iterations is below STALL_REL_TOL
+    relative, or at max_iter.
     """
     psi = normalize(np.asarray(start, dtype=np.complex128).reshape(-1))
     if project is not None:
         psi = project(psi)
-    use_cap = (
-        project is not None
-        and hasattr(project, "kron_matrix")
-        and psi.size <= CAP_PROPOSAL_MAX_DIM
-    )
+    dense_cap = isinstance(project, EnergyCap) and psi.size <= CAP_PROPOSAL_MAX_DIM
     mu_hint = 0.0
     f, grad = objective.value_and_grad(psi)
-    prev = None
     alpha = 0.25
     history = [f]
     for _ in range(max_iter):
-        cand = None
-        if use_cap:
-            cand, mu_hint = _capped_proposal(objective, project, psi.size, mu_hint)
-            if cand is not None and objective.sign_value(cand) <= f:
-                cand = None
-        if cand is None:
-            cand = _linearized_proposal(objective, psi, 0.5 * grad, prev, project)
-        accepted = cand is not None and objective.sign_value(cand) > f
-        if not accepted:
+        if project is not None and not dense_cap:
             tang = grad - np.vdot(psi, grad).real * psi
             if np.linalg.norm(tang) <= 1e-13 * max(1.0, abs(f)):
                 break
             while alpha >= 1e-13:
-                cand = normalize(psi + alpha * tang)
-                if project is not None:
-                    cand = project(cand)
+                cand = project(normalize(psi + alpha * tang))
                 if objective.sign_value(cand) > f:
-                    accepted = True
                     break
                 alpha *= 0.5
-            if not accepted:
+            else:
                 break
             alpha = min(alpha * 1.3, 32.0)
-        prev = psi
+        else:
+            if dense_cap:
+                cand, mu_hint = _capped_proposal(objective, project, psi.size, mu_hint)
+            else:
+                cand = _lanczos_top(objective.apply_sign, psi, LANCZOS_STEPS)
+            if cand is None or objective.sign_value(cand) <= f:
+                break
         psi = cand
         f, grad = objective.value_and_grad(psi)
         history.append(f)
-        if len(history) > window and f - history[-window - 1] <= rel_tol * max(1.0, abs(f)):
-            break
+        if len(history) > STALL_WINDOW:
+            if f - history[-STALL_WINDOW - 1] <= STALL_REL_TOL * max(1.0, abs(f)):
+                break
     return f, psi
 
 

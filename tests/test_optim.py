@@ -412,3 +412,74 @@ def test_multistart_deterministic():
     f2, w2 = multistart_ascend(obj, 3, 2, restarts=4, seed=7, project=cap, max_iter=150)
     assert f1 == f2
     np.testing.assert_array_equal(w1, w2)
+
+
+def _ascent_problem(case):
+    """(objective, projection, start) of one ascent mode: the 0.70/0.69
+    attenuator pair capped at E = 1 (d = r = 8, or 10 for psi.size > 64) or
+    uncapped, or a random two-level difference under a random cap."""
+    if case == "dense-capped-random":
+        rng = np.random.default_rng(40)
+        objective, _, _, _ = _difference_objective(rng, 2, 2, 1)
+        return objective, _random_cap(rng, 2, 1)[0], start_vectors(2, 1, 2, seed=0)[1]
+    d = 10 if case == "large-capped" else 8
+    diff = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
+    cap = None if case == "uncapped" else EnergyCap(TruncatedOscillator(d, 1.0).hamiltonian, d, 1.0)
+    return TraceNormObjective(diff.choi, d, d, d), cap, start_vectors(d, d, 2, seed=0)[1]
+
+
+# the proposal each ascent mode calls; the large cap takes gradient steps only
+PROPOSAL_OF_CASE = {
+    "dense-capped": "capped",
+    "dense-capped-random": "capped",
+    "large-capped": None,
+    "uncapped": "lanczos",
+}
+
+
+@pytest.mark.parametrize("case", list(PROPOSAL_OF_CASE))
+def test_ascent_takes_one_proposal_kind(monkeypatch, case):
+    """A small cap takes only the capped proposal, a cap at psi.size > 64
+    only projected gradient steps, and no cap only the Lanczos proposal; the
+    objective never decreases along the way."""
+    calls = {"capped": 0, "lanczos": 0}
+    values = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    value_and_grad = TraceNormObjective.value_and_grad
+
+    def recording_value_and_grad(self, psi):
+        out = value_and_grad(self, psi)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(optim, "_capped_proposal", counted("capped", optim._capped_proposal))
+    monkeypatch.setattr(optim, "_lanczos_top", counted("lanczos", optim._lanczos_top))
+    monkeypatch.setattr(TraceNormObjective, "value_and_grad", recording_value_and_grad)
+    proposal = PROPOSAL_OF_CASE[case]
+    objective, cap, start = _ascent_problem(case)
+    assert (cap is not None and start.size > CAP_PROPOSAL_MAX_DIM) == (proposal is None)
+    f, psi = optim.ascend(objective, start, project=cap, max_iter=100)
+    assert [name for name, n in calls.items() if n] == ([proposal] if proposal else [])
+    assert len(values) > 2 and values[-1] == f
+    assert all(b >= a for a, b in zip(values, values[1:])), values
+    if cap is not None:
+        assert cap.energy(psi) <= cap.budget
+
+
+def test_phase_map_bracket_leaves_the_zero_start():
+    """Start 0 (e₀ at r_dim = 1) is a zero of the phase-rotation-vs-identity
+    objective; the second start still gives a positive lower value."""
+    d = 16
+    diff = HermitianPreservingMap.difference(phase_rotation(d, 0.5), identity_channel(d))
+    problem = EcdProblem(diff, TruncatedOscillator(d, 1.0).hamiltonian, 2.0, r_dim=1)
+    objective = TraceNormObjective(diff.choi, d, d, 1)
+    assert objective.value(start_vectors(d, 1, 1, seed=0)[0]) < 1e-12
+    est = estimate_ecd_norm(problem, restarts=2, seed=0, max_iter=30)
+    assert 0.0 < est.lower <= est.upper

@@ -500,6 +500,8 @@ BOUND_ARGS = ("bound", "chi", "--eps", "0.1", "--energy", "1", "--fhat", "osc:1"
         (("zoo", "identity", "--levels", "0"), "--levels"),
         (("experiment", "attenuator-pair", "--dims", "8,0"), "--dims"),
         (("experiment", "truncation-ladder", "--restarts", "0"), "--restarts"),
+        (("fbound", "--fhat", "osc:1", "--energy-grid", "0.6:6:0"), "--energy-grid"),
+        (("fbound", "--fhat", "osc:1", "--energy-grid", "0.6:6:-1"), "--energy-grid"),
     ],
 )
 def test_cli_counts_below_minimum_are_exit_2(capsys, argv, option):
