@@ -38,8 +38,6 @@ from .operators import Hamiltonian
 from .optim import golden_section_min
 from .thermo import (
     HarmonicModes,
-    g,
-    h2,
     max_entropy,
     oscillator_entropy_bound,
     shifted_bound_saturation,
@@ -63,18 +61,23 @@ class OscillatorEntropyBound:
     """Closed-form multimode oscillator entropy bound.
 
     Supports the sharpened log-shift evaluation F(E) - ℓ ln(εt) in place of
-    F(E/(εt)); the sharpened value never exceeds the generic one.
+    F(E/(εt)); the sharpened value never exceeds the generic one. The
+    energy of `at` and the scale x of `log_shift_at` may be ndarrays.
     """
 
     modes: HarmonicModes
 
-    def at(self, energy: float) -> float:
+    def at(self, energy):
         return oscillator_entropy_bound(self.modes, energy)
 
-    def log_shift_at(self, energy: float, x: float) -> float:
-        if not 0.0 < x <= 1.0:
+    def log_shift_at(self, energy: float, x):
+        if isinstance(x, np.ndarray):
+            inside, log = np.all((0.0 < x) & (x <= 1.0)), np.log
+        else:
+            inside, log = 0.0 < x <= 1.0, math.log
+        if not inside:
             raise ValueError("log-shift evaluation needs a scale in (0, 1]")
-        return self.at(energy) - self.modes.modes * math.log(x)
+        return self.at(energy) - self.modes.modes * log(x)
 
 
 @dataclass(frozen=True)
@@ -84,11 +87,12 @@ class ShiftedGibbsEntropyBound:
     Valid for every E > 0 but saturates at ln(dim) once E exceeds
     saturation_energy; past that point it remains a correct bound yet stops
     growing, a finite-dimensional artifact worth reporting alongside values.
+    `at` takes a scalar or an array of energies, as max_entropy does.
     """
 
     hamiltonian: Hamiltonian
 
-    def at(self, energy: float) -> float:
+    def at(self, energy):
         return shifted_entropy_bound(self.hamiltonian, energy)
 
     @property
@@ -98,11 +102,16 @@ class ShiftedGibbsEntropyBound:
 
 @dataclass(frozen=True)
 class TabulatedEntropyBound:
-    """Wraps any positive increasing concave function of energy."""
+    """Wraps any positive increasing concave function of energy.
+
+    `at` on an ndarray calls fn once per element, with a float.
+    """
 
     fn: Callable[[float], float]
 
-    def at(self, energy: float) -> float:
+    def at(self, energy):
+        if isinstance(energy, np.ndarray):
+            return np.array([float(self.fn(float(e))) for e in energy])
         return float(self.fn(energy))
 
 
@@ -149,6 +158,29 @@ class BoundValue:
     t_used: float
 
 
+def _terms(epsilon, energy_arg, t, entropy_bound, coefficients, use_log_shift, lib):
+    """The main, g and h2 terms at t, with lib.log and lib.log1p.
+
+    lib is math for a scalar t and numpy for an array of t. The caller has
+    checked the inputs, so ε r > 0 and εt lies in (0, 1/2]: g and h2 need no
+    branch at zero.
+    """
+    c_main, c_g, c_h = coefficients
+    x = epsilon * t
+    r = (1.0 + 0.5 * t) / (1.0 - x)
+    if use_log_shift:
+        if not isinstance(entropy_bound, OscillatorEntropyBound):
+            raise ValueError("the log-shift form needs an oscillator entropy bound")
+        f_val = entropy_bound.log_shift_at(energy_arg, x)
+    else:
+        f_val = entropy_bound.at(energy_arg / x)
+    main = c_main * epsilon * (2.0 * t + r) * f_val
+    y = epsilon * r
+    g_term = c_g * ((y + 1.0) * lib.log1p(y) - y * lib.log(y))
+    h_term = c_h * (-x * lib.log(x) + -(1.0 - x) * lib.log(1.0 - x))
+    return main, g_term, h_term
+
+
 def _assemble(
     inputs: BoundInputs,
     c_main: float,
@@ -156,24 +188,21 @@ def _assemble(
     c_h: float,
     use_log_shift: bool,
 ) -> BoundValue:
-    eps, t = inputs.epsilon, inputs.t
-    r = smoothing_factor(eps, t)
-    x = eps * t
-    if use_log_shift:
-        if not isinstance(inputs.entropy_bound, OscillatorEntropyBound):
-            raise ValueError("the log-shift form needs an oscillator entropy bound")
-        f_val = inputs.entropy_bound.log_shift_at(inputs.energy_arg, x)
-    else:
-        f_val = inputs.entropy_bound.at(inputs.energy_arg / x)
-    main = c_main * eps * (2.0 * t + r) * f_val
-    g_term = c_g * g(eps * r)
-    h_term = c_h * h2(x)
+    main, g_term, h_term = _terms(
+        inputs.epsilon,
+        inputs.energy_arg,
+        inputs.t,
+        inputs.entropy_bound,
+        (c_main, c_g, c_h),
+        use_log_shift,
+        math,
+    )
     return BoundValue(
         total=main + g_term + h_term,
         main_term=main,
         g_term=g_term,
         h2_term=h_term,
-        t_used=t,
+        t_used=inputs.t,
     )
 
 
@@ -181,9 +210,10 @@ def _assemble(
 class BoundKind:
     """One row of the bound table: the coefficients (c_main, c_g, c_h).
 
-    Called with BoundInputs (and use_log_shift) it evaluates the bound. Only
-    a kind that scales_with_copies accepts copies != 1; it multiplies every
-    coefficient by the number of copies.
+    Called with BoundInputs (and use_log_shift) it evaluates the bound;
+    `terms` evaluates it at a whole array of t. Only a kind that
+    scales_with_copies accepts copies != 1; it multiplies every coefficient
+    by the number of copies.
     """
 
     c_main: float
@@ -191,13 +221,38 @@ class BoundKind:
     c_h: float
     scales_with_copies: bool = False
 
-    def __call__(self, inputs: BoundInputs, use_log_shift: bool = False) -> BoundValue:
+    def _coefficients(self, copies: int) -> tuple[float, float, float]:
         if self.scales_with_copies:
-            n = float(inputs.copies)
-            return _assemble(inputs, self.c_main * n, self.c_g * n, self.c_h * n, use_log_shift)
-        if inputs.copies != 1:
-            raise ValueError(f"this bound is single-copy; copies must be 1, got {inputs.copies}")
-        return _assemble(inputs, self.c_main, self.c_g, self.c_h, use_log_shift)
+            n = float(copies)
+            return self.c_main * n, self.c_g * n, self.c_h * n
+        if copies != 1:
+            raise ValueError(f"this bound is single-copy; copies must be 1, got {copies}")
+        return self.c_main, self.c_g, self.c_h
+
+    def __call__(self, inputs: BoundInputs, use_log_shift: bool = False) -> BoundValue:
+        return _assemble(inputs, *self._coefficients(inputs.copies), use_log_shift)
+
+    def terms(
+        self,
+        epsilon: float,
+        energy_arg: float,
+        t: np.ndarray,
+        entropy_bound: EntropyBound,
+        copies: int = 1,
+        use_log_shift: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The main, g and h2 terms at every t of a 1-D array, in one pass.
+
+        The formulas are those of a call, with numpy logarithms, so each
+        value agrees with the scalar evaluation to rounding. The inputs are
+        checked once, as BoundInputs at the smallest and the largest t.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        for t_end in (t.min(), t.max()):
+            BoundInputs(epsilon, energy_arg, float(t_end), entropy_bound, copies)
+        return _terms(
+            epsilon, energy_arg, t, entropy_bound, self._coefficients(copies), use_log_shift, np
+        )
 
 
 BOUND_KINDS: dict[str, BoundKind] = {
@@ -218,6 +273,9 @@ ea_capacity_bound_output = BOUND_KINDS["eacap-out"]
 
 GRID_POINTS = 200
 T_FLOOR_SCALE = 1e-8
+# relative slack within which array grid totals are rescored on the scalar
+# path; the array and scalar totals differ by rounding only (about 1e-15)
+NEAR_TIE = 1e-12
 
 
 def t_grid(epsilon: float, points: int) -> np.ndarray:
@@ -242,6 +300,12 @@ def optimize_t(
     golden-section search in log t down to relative width 1e-6. The returned
     total never exceeds any grid value. kind is a BOUND_KINDS key or a
     callable with the same signature as the bound functions.
+
+    A BoundKind scans the grid in one array pass (`BoundKind.terms`); the
+    points whose array total lies within NEAR_TIE of the smallest are
+    rescored one by one, so the chosen point, and all that follows, is
+    that of a point-by-point scan. Any other callable is scanned point by
+    point.
     """
     bound_fn = BOUND_KINDS[kind] if isinstance(kind, str) else kind
 
@@ -256,14 +320,25 @@ def optimize_t(
         return bound_fn(inputs, use_log_shift).total
 
     grid = t_grid(epsilon, grid_points)
-    totals = [total_at(float(t)) for t in grid]
-    i = int(np.argmin(totals))
+    if isinstance(bound_fn, BoundKind):
+        main, g_terms, h_terms = bound_fn.terms(
+            epsilon, energy_arg, grid, entropy_bound, copies, use_log_shift
+        )
+        approx = main + g_terms + h_terms
+        low = approx.min()
+        # `not >` keeps every point when a total is nan, as the scan would see it
+        points = np.flatnonzero(~(approx > low + NEAR_TIE * abs(low)))
+    else:
+        points = np.arange(grid_points)
+    totals = [total_at(float(grid[j])) for j in points]
+    k = int(np.argmin(totals))
+    i, grid_best = int(points[k]), totals[k]
     a = math.log(grid[max(i - 1, 0)])
     b = math.log(grid[min(i + 1, grid_points - 1)])
     u, val = golden_section_min(lambda x: total_at(math.exp(x)), a, b, tol=1e-6)
     t_star = math.exp(u)
-    if totals[i] < val:
-        t_star, val = float(grid[i]), totals[i]
+    if grid_best < val:
+        t_star, val = float(grid[i]), grid_best
     inputs = BoundInputs(
         epsilon=epsilon,
         energy_arg=energy_arg,

@@ -212,19 +212,14 @@ def _cmd_fbound(args):
     if args.energy_grid:
         lo, hi, num = args.energy_grid
         energies = np.linspace(lo, hi, num)
-        columns = ["energy"]
+        columns, values = ["energy"], [energies]
         if h is not None:
             columns.append("max_entropy")
+            values.append(max_entropy(h, energies))
         if eb is not None:
             columns.append("entropy_bound")
-        rows = []
-        for e in energies:
-            row: list = [float(e)]
-            if h is not None:
-                row.append(max_entropy(h, float(e)))
-            if eb is not None:
-                row.append(eb.at(float(e)))
-            rows.append(row)
+            values.append(eb.at(energies))
+        rows = np.column_stack(values).tolist()
         return Sweep(_config(args, omit=("energy",), **_fhat_echo(eb)), columns, rows)
     result = {}
     if h is not None:
@@ -272,20 +267,16 @@ def _cmd_bound(args):
         return _cmd_optimize_t(args)
     eb = _entropy_bound_from_spec(args.fhat)
     bound = BOUND_KINDS[args.kind]
-
-    def at(t: float):
-        return bound(BoundInputs(args.eps, args.energy, t, eb, copies=args.copies), args.log_shift)
-
     if args.sweep:
-        rows = []
-        for t in t_grid(args.eps, args.sweep):
-            bv = at(float(t))
-            rows.append([float(t), bv.total, bv.main_term, bv.g_term, bv.h2_term])
+        ts = t_grid(args.eps, args.sweep)
+        main, g_terms, h_terms = bound.terms(
+            args.eps, args.energy, ts, eb, args.copies, args.log_shift
+        )
+        rows = np.column_stack([ts, main + g_terms + h_terms, main, g_terms, h_terms]).tolist()
         config = _config(args, omit=("t",), **_fhat_echo(eb))
         return Sweep(config, ["t", "total", "main", "g", "h2"], rows)
-    return _document(
-        args, asdict(at(args.t)), omit=("sweep",), **_fhat_echo(eb)
-    )
+    bv = bound(BoundInputs(args.eps, args.energy, args.t, eb, copies=args.copies), args.log_shift)
+    return _document(args, asdict(bv), omit=("sweep",), **_fhat_echo(eb))
 
 
 def _cmd_optimize_t(args):

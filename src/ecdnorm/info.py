@@ -27,7 +27,7 @@ from .operators import (
     partial_trace,
 )
 from .optim import EnergyCap, EnergyConstrainedSup, energy_constrained_sup
-from .thermo import solve_gibbs
+from .thermo import gibbs_multiplier
 
 SUPPORT_TOL = 1e-12
 EIG_FLOOR = 1e-18
@@ -272,12 +272,10 @@ def holevo_capacity_estimate(
         ev = h_in.eigenvalues
         idx = np.arange(size) % d
         cols = h_in.eigenbasis.T[idx].copy()
-        mean = float(ev.mean())
-        if energy_budget >= mean:
+        if energy_budget >= h_in.mean_eigenvalue:
             logits = np.zeros(size)
         else:
-            lam = solve_gibbs(h_in, energy_budget).lam
-            logits = -lam * ev[idx]
+            logits = -gibbs_multiplier(h_in, energy_budget) * ev[idx]
         return logits, cols.astype(np.complex128)
 
     best = 0.0

@@ -188,6 +188,11 @@ class Hamiltonian:
         return float(self._eigenvalues[-1])
 
     @cached_property
+    def mean_eigenvalue(self) -> float:
+        """Mean energy of the maximally mixed state, Tr[H]/dim."""
+        return float(self._eigenvalues.mean())
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         u = self._eigenbasis
         return _frozen((u * self._eigenvalues) @ u.conj().T)

@@ -15,6 +15,7 @@ from ecdnorm import (
     ShiftedGibbsEntropyBound,
     TabulatedEntropyBound,
     classical_capacity_bound,
+    golden_section_min,
     holevo_quantity_bound,
     mutual_info_bound,
     optimize_t,
@@ -22,9 +23,14 @@ from ecdnorm import (
     shifted_entropy_bound,
     smoothing_factor,
 )
+from ecdnorm.bounds import GRID_POINTS, BoundKind, t_grid
 
 OSC = OscillatorEntropyBound(HarmonicModes((1.0,)))
 QUBIT = ShiftedGibbsEntropyBound(Hamiltonian([0.0, 1.0]))
+SHIFTED = ShiftedGibbsEntropyBound(Hamiltonian(np.arange(9) + 0.5))
+TABULATED = TabulatedEntropyBound(lambda e: 1.0 + math.log1p(e) + math.sqrt(e))
+# (entropy bound, use_log_shift) pairs every bound kind is checked with
+ENTROPY_FORMS = ((OSC, False), (OSC, True), (SHIFTED, False), (TABULATED, False))
 
 
 def test_smoothing_factor_values():
@@ -197,3 +203,111 @@ def test_copies_only_for_the_scaling_kind():
                 bound(inputs)
     with pytest.raises(ValueError, match="copies"):
         optimize_t("chi", 0.1, 1.0, OSC, copies=5)
+
+
+def _scalar_grid_optimize_t(
+    bound_fn, epsilon, energy_arg, entropy_bound, copies=1, use_log_shift=False
+):
+    """optimize_t with the grid scanned one scalar evaluation at a time."""
+
+    def total_at(t):
+        inputs = BoundInputs(epsilon, energy_arg, t, entropy_bound, copies)
+        return bound_fn(inputs, use_log_shift).total
+
+    grid = t_grid(epsilon, GRID_POINTS)
+    totals = [total_at(float(t)) for t in grid]
+    i = int(np.argmin(totals))
+    a = math.log(grid[max(i - 1, 0)])
+    b = math.log(grid[min(i + 1, GRID_POINTS - 1)])
+    u, val = golden_section_min(lambda x: total_at(math.exp(x)), a, b, tol=1e-6)
+    t_star = math.exp(u)
+    if totals[i] < val:
+        t_star = float(grid[i])
+    inputs = BoundInputs(epsilon, energy_arg, t_star, entropy_bound, copies)
+    return t_star, bound_fn(inputs, use_log_shift)
+
+
+def test_entropy_bounds_take_arrays():
+    energies = np.linspace(0.05, 12.0, 60)
+    for eb in (OSC, SHIFTED, TABULATED):
+        values = eb.at(energies)
+        for e, v in zip(energies, values):
+            assert abs(v - eb.at(float(e))) <= 1e-14 * abs(v)
+    scales = np.linspace(1e-3, 1.0, 20)
+    shifted = OSC.log_shift_at(2.0, scales)
+    for x, v in zip(scales, shifted):
+        assert abs(v - OSC.log_shift_at(2.0, float(x))) <= 1e-14 * abs(v)
+    with pytest.raises(ValueError):
+        OSC.log_shift_at(2.0, np.array([0.5, 1.5]))
+    with pytest.raises(ValueError):
+        OSC.at(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        SHIFTED.at(np.array([1.0, -1.0]))
+
+
+def test_grid_terms_match_scalar_bounds():
+    for name, kind in BOUND_KINDS.items():
+        for eb, log_shift in ENTROPY_FORMS:
+            for eps, energy in ((0.01, 0.5), (0.05, 2.0), (0.2, 8.0)):
+                copies = 3 if name == "qmi" else 1
+                grid = t_grid(eps, GRID_POINTS)
+                main, g_terms, h_terms = kind.terms(eps, energy, grid, eb, copies, log_shift)
+                totals = main + g_terms + h_terms
+                for j, t in enumerate(grid):
+                    val = kind(BoundInputs(eps, energy, float(t), eb, copies), log_shift)
+                    for got, want in (
+                        (totals[j], val.total),
+                        (main[j], val.main_term),
+                        (g_terms[j], val.g_term),
+                        (h_terms[j], val.h2_term),
+                    ):
+                        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_grid_terms_validate_once():
+    grid = t_grid(0.1, 5)
+    with pytest.raises(ValueError, match="copies"):
+        holevo_quantity_bound.terms(0.1, 1.0, grid, OSC, copies=2)
+    with pytest.raises(ValueError):
+        holevo_quantity_bound.terms(0.1, 1.0, grid * 1.5, OSC)  # t beyond 1/(2 eps)
+    with pytest.raises(ValueError):
+        holevo_quantity_bound.terms(0.1, -1.0, grid, OSC)
+    with pytest.raises(ValueError, match="log-shift"):
+        holevo_quantity_bound.terms(0.1, 1.0, grid, SHIFTED, use_log_shift=True)
+
+
+def test_optimize_t_equals_the_scalar_grid_scan():
+    saturation = SHIFTED.saturation_energy
+    cases = []
+    for name in BOUND_KINDS:
+        for eb, log_shift in ENTROPY_FORMS:
+            for eps, energy in ((0.01, 0.5), (0.05, 2.0), (0.2, 8.0)):
+                cases.append((name, eps, energy, eb, 3 if name == "qmi" else 1, log_shift))
+    crossing = 0
+    for name, eps, energy, eb, copies, log_shift in cases:
+        got = optimize_t(name, eps, energy, eb, copies=copies, use_log_shift=log_shift)
+        want = _scalar_grid_optimize_t(BOUND_KINDS[name], eps, energy, eb, copies, log_shift)
+        assert got == want
+        if eb is SHIFTED:
+            x = energy / (eps * t_grid(eps, GRID_POINTS))
+            crossing += bool(x.min() < saturation < x.max())
+    assert crossing >= 6  # the shifted grids run through saturation
+
+    def callable_kind(inputs, use_log_shift=False):
+        return holevo_quantity_bound(inputs, use_log_shift)
+
+    for eb, log_shift in ENTROPY_FORMS:
+        got = optimize_t(callable_kind, 0.05, 2.0, eb, use_log_shift=log_shift)
+        assert got == _scalar_grid_optimize_t(callable_kind, 0.05, 2.0, eb, use_log_shift=log_shift)
+        assert got == optimize_t("chi", 0.05, 2.0, eb, use_log_shift=log_shift)
+
+
+def test_optimize_t_rescores_near_ties(monkeypatch):
+    # grid totals that tie everywhere leave the whole choice to the scalar rescoring
+    def flat_terms(self, epsilon, energy_arg, t, *args, **kwargs):
+        zeros = np.zeros_like(t)
+        return zeros, zeros, zeros
+
+    want = _scalar_grid_optimize_t(holevo_quantity_bound, 0.05, 2.0, OSC)
+    monkeypatch.setattr(BoundKind, "terms", flat_terms)
+    assert optimize_t("chi", 0.05, 2.0, OSC) == want

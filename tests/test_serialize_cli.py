@@ -12,12 +12,16 @@ import pytest
 
 from conftest import ginibre_density, random_channel
 from ecdnorm import (
+    BoundInputs,
     DensityOperator,
     Hamiltonian,
     OscillatorEntropyBound,
     HarmonicModes,
     attenuator,
+    holevo_quantity_bound,
+    max_entropy,
     optimize_t,
+    oscillator_entropy_bound,
 )
 from ecdnorm.serialize import (
     channel_from_json,
@@ -263,9 +267,14 @@ def test_cli_bound_fixed_t_and_sweep(workdir):
     cols = lines[len(header)].split(",")
     assert cols == ["t", "total", "main", "g", "h2"]
     assert len(lines) == len(header) + 1 + 12
-    # data cells parse back to floats exactly via repr round trip
-    for cell in lines[-1].split(","):
-        float(cell)
+    # every row agrees with the scalar bound at its t
+    osc = OscillatorEntropyBound(HarmonicModes((1.0,)))
+    for line in lines[len(header) + 1 :]:
+        t, total, main, g_term, h_term = (float(cell) for cell in line.split(","))
+        val = holevo_quantity_bound(BoundInputs(0.1, 1.0, t, osc))
+        pairs = ((total, val.total), (main, val.main_term), (g_term, val.g_term), (h_term, val.h2_term))
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_cli_fbound_values(workdir):
@@ -278,6 +287,19 @@ def test_cli_fbound_values(workdir):
     )
     doc = json.loads(res.stdout)
     assert abs(doc["result"]["max_entropy"] - math.log(3.0)) < 1e-12
+    res = run_cli(
+        "fbound", "--hamiltonian", str(workdir / "h.json"), "--fhat", "osc:1",
+        "--energy-grid", "0.1:2.5:9",
+    )
+    assert res.returncode == 0, res.stderr
+    lines = [ln for ln in res.stdout.strip().split("\n") if not ln.startswith("# ")]
+    assert lines[0] == "energy,max_entropy,entropy_bound"
+    h = hamiltonian_from_json(json.loads((workdir / "h.json").read_text()))
+    modes = HarmonicModes((1.0,))
+    for line in lines[1:]:
+        e, cap, bound = (float(cell) for cell in line.split(","))
+        assert cap == max_entropy(h, e)
+        assert abs(bound - oscillator_entropy_bound(modes, e)) <= 1e-13 * abs(bound)
 
 
 def test_cli_qn_command(workdir):

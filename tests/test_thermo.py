@@ -14,6 +14,7 @@ from ecdnorm import (
     energy,
     entropy,
     g,
+    gibbs_multiplier,
     h2,
     max_entropy,
     oscillator_entropy_bound,
@@ -93,6 +94,92 @@ def test_max_entropy_edge_cases():
     h3 = Hamiltonian([0.0, 1.0, 2.0])
     assert abs(max_entropy(h3, 1.0) - math.log(3.0)) < 1e-12
     assert abs(max_entropy(h3, 1.7) - math.log(3.0)) < 1e-12
+
+
+def _scalar_bisection(ev, energy):
+    """The Gibbs multiplier by a bisection on one energy, step for step."""
+
+    def mean_energy(lam):
+        a = -lam * ev
+        a -= a.max()
+        w = np.exp(a)
+        return float((ev * w).sum() / w.sum())
+
+    scale = 50.0 / (float(ev[-1]) - float(ev[0]))
+    lo, hi = -scale, scale
+    for _ in range(200):
+        if mean_energy(lo) >= energy:
+            break
+        lo *= 2.0
+    for _ in range(200):
+        if mean_energy(hi) <= energy:
+            break
+        hi *= 2.0
+    tol = 1e-9 * max(1.0, abs(energy))
+    for _ in range(200):
+        lam = 0.5 * (lo + hi)
+        m = mean_energy(lam)
+        if m > energy:
+            lo = lam
+        else:
+            hi = lam
+        if hi - lo <= 5e-14 * max(1.0, abs(lam)) and abs(m - energy) <= tol:
+            break
+    return lam
+
+
+ARRAY_HAMILTONIANS = (
+    Hamiltonian([0.0, 0.0, 1.0, 2.5]),  # degenerate ground
+    Hamiltonian([0.3, 0.8, 1.5, 2.9, 2.9]),
+    TruncatedOscillator(9).hamiltonian,
+    TruncatedOscillator(16).hamiltonian,
+    Hamiltonian([0.0, 1e-3, 40.0]),  # wide spectrum: the bracket must grow
+)
+
+
+def test_batched_multiplier_matches_scalar_bisection():
+    rng = np.random.default_rng(23)
+    for h in ARRAY_HAMILTONIANS:
+        ev = h.eigenvalues
+        energies = np.concatenate(
+            [rng.uniform(ev[0], ev[-1], 12), [ev[0] + 1e-6, ev[-1] - 1e-6, h.mean_eigenvalue]]
+        )
+        for e in energies:
+            lam = gibbs_multiplier(h, float(e))
+            assert lam == _scalar_bisection(ev, float(e))
+            assert solve_gibbs(h, float(e)).lam == lam
+
+
+def test_max_entropy_array_equals_scalar_calls():
+    rng = np.random.default_rng(24)
+    for h in ARRAY_HAMILTONIANS:
+        ev = h.eigenvalues
+        e0, mean = h.ground_energy, h.mean_eigenvalue
+        energies = np.concatenate(
+            [
+                [e0, e0 + 1e-10, e0 + 2e-9],  # at the ground, inside the degeneracy gap
+                rng.uniform(e0, mean, 10),  # interior
+                [mean, 0.5 * (mean + ev[-1]), ev[-1], ev[-1] + 3.0],  # saturated
+            ]
+        )
+        values = max_entropy(h, energies)
+        assert values.shape == energies.shape
+        for e, v in zip(energies, values):
+            assert v == max_entropy(h, float(e))
+        grid = max_entropy(h, energies[:16].reshape(4, 4))
+        assert grid.shape == (4, 4)
+        assert np.array_equal(grid.ravel(), values[:16])
+    assert max_entropy(ARRAY_HAMILTONIANS[0], np.array([0.0]))[0] == math.log(2.0)
+
+
+def test_max_entropy_array_rejects_infeasible_and_nan():
+    h = Hamiltonian([0.5, 1.0, 2.0])
+    with pytest.raises(InfeasibleProblemError):
+        max_entropy(h, np.array([0.6, 0.4, 1.2]))  # one energy below the ground
+    with pytest.raises(ValueError):
+        max_entropy(h, np.array([0.6, np.nan]))
+    with pytest.raises(ValueError):
+        max_entropy(h, math.nan)
 
 
 def test_max_entropy_monotone_and_concave():
@@ -189,6 +276,7 @@ def test_shifted_entropy_bound():
         if shifted > ev[0]:
             assert b >= max_entropy(h, min(shifted, ev[-1] - 1e-9)) - 1e-9
     sat = shifted_bound_saturation(h)
+    assert h.mean_eigenvalue == float(ev.mean())
     assert abs(sat - (ev.mean() - ev[0])) < 1e-12
     assert abs(shifted_entropy_bound(h, sat + 0.5) - math.log(4.0)) < 1e-12
     with pytest.raises(ValueError):
