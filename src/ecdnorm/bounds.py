@@ -299,15 +299,16 @@ def optimize_t(
     Scans a log-spaced grid, then refines around the best grid point with a
     golden-section search in log t down to relative width 1e-6. The returned
     total never exceeds any grid value. kind is a BOUND_KINDS key or a
-    callable with the same signature as the bound functions.
+    BoundKind.
 
-    A BoundKind scans the grid in one array pass (`BoundKind.terms`); the
-    points whose array total lies within NEAR_TIE of the smallest are
-    rescored one by one, so the chosen point, and all that follows, is
-    that of a point-by-point scan. Any other callable is scanned point by
-    point.
+    The grid is scanned in one array pass (`BoundKind.terms`); the points
+    whose array total lies within NEAR_TIE of the smallest are rescored one
+    by one, so the chosen point, and all that follows, is that of a
+    point-by-point scan.
     """
     bound_fn = BOUND_KINDS[kind] if isinstance(kind, str) else kind
+    if not isinstance(bound_fn, BoundKind):
+        raise TypeError(f"kind must be a BOUND_KINDS key or a BoundKind, got {kind!r}")
 
     def total_at(t: float) -> float:
         inputs = BoundInputs(
@@ -320,16 +321,13 @@ def optimize_t(
         return bound_fn(inputs, use_log_shift).total
 
     grid = t_grid(epsilon, grid_points)
-    if isinstance(bound_fn, BoundKind):
-        main, g_terms, h_terms = bound_fn.terms(
-            epsilon, energy_arg, grid, entropy_bound, copies, use_log_shift
-        )
-        approx = main + g_terms + h_terms
-        low = approx.min()
-        # `not >` keeps every point when a total is nan, as the scan would see it
-        points = np.flatnonzero(~(approx > low + NEAR_TIE * abs(low)))
-    else:
-        points = np.arange(grid_points)
+    main, g_terms, h_terms = bound_fn.terms(
+        epsilon, energy_arg, grid, entropy_bound, copies, use_log_shift
+    )
+    approx = main + g_terms + h_terms
+    low = approx.min()
+    # `not >` keeps every point when a total is nan, as the scan would see it
+    points = np.flatnonzero(~(approx > low + NEAR_TIE * abs(low)))
     totals = [total_at(float(grid[j])) for j in points]
     k = int(np.argmin(totals))
     i, grid_best = int(points[k]), totals[k]

@@ -40,10 +40,7 @@ from .optim import (
     check_energy_budget,
     energy_constrained_sup,
     multistart_ascend,
-    start_vectors,
 )
-
-ZERO_MAP_TOL = 1e-14
 
 
 def _reference_dim(the_map: HermitianPreservingMap, r_dim: int | None) -> int:
@@ -217,32 +214,27 @@ def _estimate(
     which has no Kraus pair to align, adds the truncation ladder.
     """
     cap = None if problem is None else EnergyCap(problem.h_in, r_dim, problem.energy)
-    if float(np.max(np.abs(the_map.choi))) < ZERO_MAP_TOL:
-        start = start_vectors(the_map.in_dim, r_dim, 1, seed)[0]
-        lower = upper = 0.0
-        witness = start if cap is None else cap(start)
-    else:
-        objective = _objective(the_map, r_dim)
-        lower, witness = multistart_ascend(
-            objective,
-            the_map.in_dim,
-            r_dim,
-            restarts,
-            seed,
-            project=cap,
-            extra_starts=extra_starts,
-            max_iter=max_iter,
-        )
-        upper = diamond_upper_bound(the_map, objective)
-        if the_map.kraus_pair is not None:
-            upper = min(upper, 2.0)
-            if problem is not None:
-                upper = min(
-                    upper,
-                    _aligned_stinespring_bound(the_map.kraus_pair, problem.h_in, problem.energy),
-                )
-        elif problem is not None:
-            upper = _truncation_ladder_bound(problem, upper)
+    objective = _objective(the_map, r_dim)
+    lower, witness = multistart_ascend(
+        objective,
+        the_map.in_dim,
+        r_dim,
+        restarts,
+        seed,
+        project=cap,
+        extra_starts=extra_starts,
+        max_iter=max_iter,
+    )
+    upper = diamond_upper_bound(the_map, objective)
+    if the_map.kraus_pair is not None:
+        upper = min(upper, 2.0)
+        if problem is not None:
+            upper = min(
+                upper,
+                _aligned_stinespring_bound(the_map.kraus_pair, problem.h_in, problem.energy),
+            )
+    elif problem is not None:
+        upper = _truncation_ladder_bound(problem, upper)
     witness_energy = None if cap is None else cap.energy(witness)
     return EcdEstimate(lower, upper, witness, witness_energy)
 

@@ -6,8 +6,9 @@ larger cap, the Lanczos Ritz vector with no cap), stopped by the first
 proposal that does not improve; deterministic multi-starts; a golden-section
 search; and one solver for maximizing a linear functional over
 energy-bounded states: the one-dimensional dual min_{μ≥0} λmax(G − μK) + μE,
-minimized by safeguarded Newton steps on Danskin's derivative E − ⟨v|K|v⟩,
-which the capped proposal and `energy_constrained_sup` both use.
+minimized by safeguarded Newton steps on Danskin's derivative E − ⟨v|K|v⟩
+inside the closed-form bracket [0, μ_max], which returns the maximizing
+state as well; the capped proposal and `energy_constrained_sup` both use it.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ class EnergyCap:
         self._h = hamiltonian.matrix
         self._tau0 = hamiltonian.eigenbasis[:, 0]
         self._e0 = float(hamiltonian.ground_energy)
+        self._e_top = float(hamiltonian.max_energy)
+        self._ground = np.kron(self._tau0, np.eye(int(r_dim))[0])  # τ₀ ⊗ e₀
         self._dim = hamiltonian.dimension
         self._r_dim = int(r_dim)
         self._h_kron = None
@@ -317,68 +320,84 @@ class _DualPoint:
         return abs(self.slope) / self.curv
 
 
-def _energy_dual(g: np.ndarray, k: np.ndarray, budget: float, mu_hint: float, rtol: float):
-    """Minimize the convex φ(μ) = λmax(G − μK) + μE over μ ≥ 0.
+def _energy_dual(g: np.ndarray, cap: EnergyCap, mu_hint: float, rtol: float):
+    """Maximize ⟨x|G|x⟩ over unit x with ⟨x|K|x⟩ ≤ E (K = H ⊗ I_R, E the
+    cap's) through the convex dual φ(μ) = λmax(G − μK) + μE over μ ≥ 0.
 
-    The root of φ' is bracketed by stepping from the warm start `mu_hint`
-    (twice the Newton step, doubling each time the root is not crossed),
-    then approached by safeguarded Newton steps inside the bracket [lo, hi],
-    where φ'(lo) < 0 ≤ φ'(hi). A step that leaves the bracket, or shrinks
-    less than half as fast as the one before, is replaced by the intersection
-    of the tangents at lo and hi, and a tangent step that fails to halve the
-    bracket by bisection. Stops when hi − lo ≤ rtol·max(1, hi) or when the
-    tangents certify φ to 1e-14 relative (a kink), or at μ = 0 with φ'(0) ≥ 0.
+    φ(μ) ≥ ⟨x₀|G|x₀⟩ + μ(E − E₀) for the ground vector x₀ = τ₀ ⊗ e₀ of K, so
+    every minimizer lies in [0, μ_max], μ_max = (λmax(G) − ⟨x₀|G|x₀⟩)/(E − E₀),
+    with λmax(G) ≤ φ(μ) + μ(λmax(K) − E) read off the first point, the warm
+    start mu_hint. One loop keeps [lo, hi] with φ'(lo) < 0 ≤ φ'(hi) (Danskin:
+    φ' = E − ⟨v|K|v⟩); a point at μ ≥ μ_max is an upper end whatever its
+    rounded slope. A Newton step that stays inside the bracket (0 and μ_max
+    stand in for ends not yet evaluated) and is at most half the last is
+    taken; otherwise a missing end is evaluated, else the tangents at lo and
+    hi are intersected, and a tangent step that fails to halve the bracket
+    gives way to bisection. Stops when hi − lo ≤ rtol·max(1, hi), when the
+    tangents certify φ to 1e-14 relative (a kink), or at μ = 0 as upper end.
 
-    Returns (μ, φ(μ), the top eigenvector at lo, the top eigenvector at hi):
-    μ is the evaluated point with the lowest φ; the vector at lo has energy
-    above E (None when μ = 0 is optimal) and the one at hi at most E. A mix
-    of the two with energy E attains the tangents' lower bound on min φ.
+    Returns (μ, φ(μ), x): μ is the evaluated point with the lowest φ; x is
+    the best vector within the budget in the span of the top eigenvectors at
+    lo and hi (`_best_in_span`), which attains the tangents' lower bound on
+    min φ, or with μ = 0 optimal the top eigenvector there (x₀ if that is
+    over the budget, which only μ_max = 0 allows); the cap projects x should
+    rounding leave it over.
     """
-    lo = hi = None
+    k = cap.kron_matrix()
+    budget = cap.budget
     p = _DualPoint(g, k, budget, max(float(mu_hint), 0.0))
-    step = 0.0  # last step length while bracketing
-    last = np.inf  # last step length inside the bracket
+    lam = p.phi + p.mu * (cap._e_top - budget)
+    x0 = cap._ground
+    mu_max = max(lam - float(np.vdot(x0, g @ x0).real), 0.0) / (budget - cap._e0)
+    lo = hi = None
+    last = np.inf  # last Newton step length taken
     tangent_width = None  # bracket width before the last tangent step
     for _ in range(DUAL_MAX_EVALS):
-        if p.slope >= 0.0:
+        if p.slope >= 0.0 or p.mu >= mu_max:
             hi = p
             if p.mu == 0.0:
                 break
         else:
             lo = p
-        if lo is None or hi is None:
-            step = max(2.0 * p.newton(), 2.0 * step)
-            if p is lo:
-                mu = p.mu + step if np.isfinite(step) else max(2.0 * p.mu, 1.0)
-            else:
-                mu = max(p.mu - step, 0.0) if np.isfinite(step) else 0.0
-            p = _DualPoint(g, k, budget, mu)
-            continue
-        width = hi.mu - lo.mu
-        tol = rtol * max(1.0, hi.mu)
-        if width <= tol:
-            break
-        cut = (hi.phi - lo.phi + lo.slope * lo.mu - hi.slope * hi.mu) / (lo.slope - hi.slope)
-        cut = min(max(cut, lo.mu), hi.mu)
-        floor = lo.phi + lo.slope * (cut - lo.mu)
-        least = min(lo.phi, hi.phi)
-        if least - floor <= 1e-14 * max(1.0, abs(least)):
-            break
+        a = 0.0 if lo is None else lo.mu
+        b = mu_max if hi is None else hi.mu
+        width = b - a
+        tol = 0.0
+        if lo is not None and hi is not None:
+            tol = rtol * max(1.0, b)
+            if width <= tol:
+                break
+            cut = (hi.phi - lo.phi + lo.slope * a - hi.slope * b) / (lo.slope - hi.slope)
+            cut = min(max(cut, a), b)
+            floor = lo.phi + lo.slope * (cut - a)
+            least = min(lo.phi, hi.phi)
+            if least - floor <= 1e-14 * max(1.0, abs(least)):
+                break
         newton = p.newton()
         mu = p.mu + newton if p is lo else p.mu - newton
-        if lo.mu < mu < hi.mu and newton <= 0.5 * last:
+        if a < mu < b and newton <= 0.5 * last:
             last = newton
             tangent_width = None
+        elif lo is None:
+            mu = 0.0
+        elif hi is None:
+            mu = mu_max
         elif tangent_width is not None and width > 0.5 * tangent_width:
-            mu = 0.5 * (lo.mu + hi.mu)
+            mu = 0.5 * (a + b)
             tangent_width = None
         else:
             mu = cut
             tangent_width = width
-        mu = min(max(mu, lo.mu + 0.5 * tol), hi.mu - 0.5 * tol)
+        mu = min(max(mu, a + 0.5 * tol), b - 0.5 * tol)
         p = _DualPoint(g, k, budget, mu)
     best = min((q for q in (lo, hi) if q is not None), key=lambda q: q.phi)
-    return best.mu, best.phi, None if lo is None else lo.top, hi.top
+    if lo is not None:
+        x = _best_in_span(lo.top, hi.top, g, k, budget)
+    else:
+        x = hi.top if hi.slope >= 0.0 else x0
+    if cap.energy(x) > budget:
+        x = cap(x)
+    return best.mu, best.phi, x
 
 
 def _best_in_span(a: np.ndarray, b: np.ndarray, g: np.ndarray, k: np.ndarray, budget: float):
@@ -407,12 +426,13 @@ def _best_in_span(a: np.ndarray, b: np.ndarray, g: np.ndarray, k: np.ndarray, bu
     if kv @ n > room and kn > 0.0:
         khat = kv / kn
         perp = gv - (gv @ khat) * khat
-        pn = float(np.linalg.norm(perp))
-        if pn <= 1e-15 * max(gn, 1e-300):
-            # G favors pure energy: any direction on the circle is optimal
+        if np.linalg.norm(perp) <= 1e-12 * max(gn, 1e-300):
+            # G favors pure energy (what is left of gv is rounding noise):
+            # any direction on the circle is optimal
             perp = np.eye(3)[int(np.argmin(np.abs(khat)))]
-            perp = perp - (perp @ khat) * khat
-            pn = float(np.linalg.norm(perp))
+        # (again) orthogonal to k̂, so that n lands on the circle
+        perp = perp - (perp @ khat) * khat
+        pn = float(np.linalg.norm(perp))
         cos = min(max(room / kn, -1.0), 1.0)
         n = cos * khat + np.sqrt(max(1.0 - cos * cos, 0.0)) * perp / pn
     if n[2] >= 0.0:
@@ -424,29 +444,19 @@ def _best_in_span(a: np.ndarray, b: np.ndarray, g: np.ndarray, k: np.ndarray, bu
     return normalize(q @ coeffs)
 
 
-def _capped_proposal(objective, cap, dim: int, mu_hint: float):
+def _capped_proposal(objective, cap, mu_hint: float):
     """Exact maximizer of the current sign surrogate under the energy cap.
 
-    The surrogate is a Hermitian quadratic form ψ ↦ ⟨ψ|G|ψ⟩ on vectors of
-    length dim, with G built by one contraction (`surrogate_matrix`), so its
-    maximum over unit vectors with ⟨ψ|(H⊗I)|ψ⟩ ≤ E is the one-dimensional
-    dual min_{μ≥0} λmax(G − μH⊗I) + μE, solved by `_energy_dual` from the
-    warm start mu_hint. The proposal is the top eigenvector at μ = 0 when
-    that is feasible, else the best vector in the span of the top
-    eigenvectors at both ends of the final bracket, which meets the budget
-    exactly when the free maximum is infeasible. The span holds the feasible
-    end's eigenvector, and its best vector attains the dual value up to the
-    solver's final gap, so the proposal never scores below the current point.
-    Only worth the dense eigensolves at small dimension, hence the gate in
-    `ascend`.
+    The surrogate is a Hermitian quadratic form ψ ↦ ⟨ψ|G|ψ⟩, with G built by
+    one contraction (`surrogate_matrix`), so its maximum over unit vectors
+    with ⟨ψ|(H⊗I)|ψ⟩ ≤ E is the one-dimensional dual
+    min_{μ≥0} λmax(G − μH⊗I) + μE, solved by `_energy_dual` from the warm
+    start mu_hint, which also returns the feasible maximizer. It attains the
+    dual value up to the solver's final gap, so the proposal never scores
+    below the current point. Only worth the dense eigensolves at small
+    dimension, hence the gate in `ascend`.
     """
-    g = objective.surrogate_matrix()
-    h = cap.kron_matrix()
-    budget = cap.budget
-    mu, _, lo_top, hi_top = _energy_dual(g, h, budget, mu_hint, 1e-8)
-    best = hi_top if lo_top is None else _best_in_span(lo_top, hi_top, g, h, budget)
-    if cap.energy(best) > budget:
-        best = cap(best)
+    mu, _, best = _energy_dual(objective.surrogate_matrix(), cap, mu_hint, 1e-8)
     return best, mu
 
 
@@ -492,7 +502,7 @@ def ascend(
             alpha = min(alpha * 1.3, 32.0)
         else:
             if dense_cap:
-                cand, mu_hint = _capped_proposal(objective, project, psi.size, mu_hint)
+                cand, mu_hint = _capped_proposal(objective, project, mu_hint)
             else:
                 cand = _lanczos_top(objective.apply_sign, psi, LANCZOS_STEPS)
             if cand is None or objective.sign_value(cand) <= f:
@@ -557,13 +567,12 @@ class EnergyConstrainedSup:
     """Exact value of max Tr[Mρ] over states with Tr[Hρ] <= budget.
 
     value comes from the dual min_{μ>=0} λmax(M - μH) + μ·budget, which is
-    tight here, solved by `_energy_dual` to a bracket of 1e-12·max(1, μ);
-    multiplier is the minimizing μ. state is a feasible pure primal
-    certificate: the best vector in the span of the top eigenvectors at both
-    ends of the final bracket, which meets the budget exactly (the top
-    eigenvector at μ = 0 when that is optimal), as the capped proposal picks
-    it; attained is its objective value, so value - attained is the (tiny)
-    duality gap.
+    tight here, solved by `_energy_dual` on its closed-form bracket to a
+    width of 1e-12·max(1, μ); multiplier is the minimizing μ, at which the
+    dual function rechecks value as an upper bound. state is `_energy_dual`'s
+    feasible pure maximizer, a primal certificate; attained is its objective
+    value, so value - attained, the duality gap, is about 1e-9·max(1, |value|)
+    at most.
     """
 
     value: float
@@ -575,11 +584,9 @@ class EnergyConstrainedSup:
 def energy_constrained_sup(
     m: np.ndarray, hamiltonian: Hamiltonian, budget: float
 ) -> EnergyConstrainedSup:
-    check_energy_budget(hamiltonian, budget)
-    h = hamiltonian.matrix
+    cap = EnergyCap(hamiltonian, 1, budget)
     m = 0.5 * (m + m.conj().T)
-    mu, value, lo_top, hi_top = _energy_dual(m, h, budget, 0.0, 1e-12)
-    top = hi_top if lo_top is None else _best_in_span(lo_top, hi_top, m, h, budget)
+    mu, value, top = _energy_dual(m, cap, 0.0, 1e-12)
     state = np.outer(top, top.conj())
-    attained = float(np.trace(m @ state).real)
+    attained = float(np.vdot(top, m @ top).real)
     return EnergyConstrainedSup(value=value, state=state, attained=attained, multiplier=mu)

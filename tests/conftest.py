@@ -193,6 +193,30 @@ def ecd_bruteforce(ka, kb, h_ev, energy, r_dim, seed, samples=100000, top=10, ro
     return float(cur_v.max())
 
 
+def check_energy_sup(m, h, budget, res):
+    """Recheck an `energy_constrained_sup` result without the library's solver.
+
+    value is a certified upper bound: the dual function at the returned
+    multiplier, λmax(M − μH) + μ·budget from `eigvalsh`, does not exceed it
+    beyond 1e-12 relative. The state is a pure state within the budget whose
+    objective Tr[Mρ] is `attained`.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    m = 0.5 * (m + m.conj().T)
+    hm = np.asarray(h.matrix)
+    scale = max(1.0, abs(res.value))
+    mu = res.multiplier
+    assert mu >= 0.0
+    dual = float(np.linalg.eigvalsh(m - mu * hm)[-1]) + mu * budget
+    assert dual <= res.value + 1e-12 * scale, (dual, res.value)
+    rho = np.asarray(res.state)
+    assert float(np.max(np.abs(rho - rho.conj().T))) <= 1e-12
+    w = np.linalg.eigvalsh(rho)
+    assert abs(w[-1] - 1.0) <= 1e-12 and float(np.max(np.abs(w[:-1]), initial=0.0)) <= 1e-12
+    assert float(np.trace(hm @ rho).real) <= budget + 1e-12
+    assert abs(float(np.trace(m @ rho).real) - res.attained) <= 1e-12 * scale
+
+
 def _entropy_rows(p):
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, -p * np.log(p), 0.0)

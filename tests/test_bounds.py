@@ -184,6 +184,14 @@ def test_optimize_t_accepts_callable_kind():
     assert by_name[1].total == by_fn[1].total
 
 
+def test_optimize_t_rejects_other_callables():
+    def plain(inputs, use_log_shift=False):
+        return holevo_quantity_bound(inputs, use_log_shift)
+
+    with pytest.raises(TypeError, match="BoundKind"):
+        optimize_t(plain, 0.1, 1.0, OSC)
+
+
 def test_optimize_t_with_log_shift():
     t_star, best = optimize_t("chi", 0.02, 1.0, OSC, use_log_shift=True)
     assert 0.0 < t_star <= 1.0 / 0.04
@@ -292,14 +300,6 @@ def test_optimize_t_equals_the_scalar_grid_scan():
             x = energy / (eps * t_grid(eps, GRID_POINTS))
             crossing += bool(x.min() < saturation < x.max())
     assert crossing >= 6  # the shifted grids run through saturation
-
-    def callable_kind(inputs, use_log_shift=False):
-        return holevo_quantity_bound(inputs, use_log_shift)
-
-    for eb, log_shift in ENTROPY_FORMS:
-        got = optimize_t(callable_kind, 0.05, 2.0, eb, use_log_shift=log_shift)
-        assert got == _scalar_grid_optimize_t(callable_kind, 0.05, 2.0, eb, use_log_shift=log_shift)
-        assert got == optimize_t("chi", 0.05, 2.0, eb, use_log_shift=log_shift)
 
 
 def test_optimize_t_rescores_near_ties(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     batch_difference_norms,
+    check_energy_sup,
     ginibre_density,
     haar_vector,
     kraus_sign_surrogate,
@@ -31,7 +32,7 @@ from ecdnorm import (
     start_vectors,
 )
 from ecdnorm import optim
-from ecdnorm.optim import CAP_PROPOSAL_MAX_DIM, _capped_proposal, normalize
+from ecdnorm.optim import CAP_PROPOSAL_MAX_DIM, _best_in_span, _capped_proposal, normalize
 
 
 def test_golden_section_quadratic():
@@ -271,7 +272,7 @@ def test_capped_proposal_is_feasible_and_improving():
     for obj, cap, budget, dim, f in _capped_cases():
         v = haar_vector(rng, dim)
         np.testing.assert_allclose(obj.surrogate_matrix() @ v, obj.apply_sign(v), atol=1e-12)
-        cand, mu = _capped_proposal(obj, cap, dim, 0.0)
+        cand, mu = _capped_proposal(obj, cap, 0.0)
         assert mu >= 0.0
         assert cand is not None
         assert abs(np.linalg.norm(cand) - 1.0) < 1e-9
@@ -295,8 +296,8 @@ def test_capped_proposal_eigensolve_count(monkeypatch):
     cases = list(_capped_cases())
     monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
-    for obj, cap, _, dim, _ in cases:
-        _capped_proposal(obj, cap, dim, 0.0)
+    for obj, cap, _, _, _ in cases:
+        _capped_proposal(obj, cap, 0.0)
     assert calls / len(cases) <= 12
 
 
@@ -313,8 +314,8 @@ def test_capped_proposals_never_score_below_current_point(monkeypatch):
         last["f"] = out[0]
         return out
 
-    def recording_proposal(objective, cap, dim, mu_hint):
-        cand, mu = proposal(objective, cap, dim, mu_hint)
+    def recording_proposal(objective, cap, mu_hint):
+        cand, mu = proposal(objective, cap, mu_hint)
         if cand is not None:
             shortfalls.append(last["f"] - objective.sign_value(cand))
         return cand, mu
@@ -329,11 +330,13 @@ def test_capped_proposals_never_score_below_current_point(monkeypatch):
     assert max(shortfalls) <= 1e-9, sorted(shortfalls)[-5:]
 
 
-def _grid_dual_minimum(m, h, budget, hi=8.0):
-    """min over μ ≥ 0 of λmax(m − μh) + μ·budget by repeatedly refined grids."""
+def _grid_dual_minimum(m, h, budget, hi=8.0, points=1001, rounds=6):
+    """min over μ in [0, hi] of λmax(m − μh) + μ·budget by repeatedly refined
+    grids; each round keeps the two grid steps around the grid minimum,
+    which hold the minimizer of the convex function."""
     lo = 0.0
-    for _ in range(6):
-        mus = np.linspace(lo, hi, 1001)
+    for _ in range(rounds):
+        mus = np.linspace(lo, hi, points)
         vals = np.linalg.eigvalsh(m[None] - mus[:, None, None] * h[None])[:, -1] + mus * budget
         i = int(np.argmin(vals))
         step = mus[1] - mus[0]
@@ -351,6 +354,7 @@ def test_energy_constrained_sup_matches_grid_minimum(diag, multiplier):
     h = Hamiltonian([0.0, 1.0, 2.0, 3.0])
     m = np.diag(diag).astype(np.complex128)
     res = energy_constrained_sup(m, h, 0.5)
+    check_energy_sup(m, h, 0.5, res)
     assert abs(res.value - _grid_dual_minimum(m, h.matrix, 0.5)) < 1e-9
     assert abs(res.multiplier - multiplier) < 1e-9
     assert abs(res.value - res.attained) < 1e-9
@@ -360,6 +364,7 @@ def test_energy_constrained_sup_budget_active():
     # supremum of <H> under <H> <= E is E itself whenever E is attainable
     h = Hamiltonian([0.0, 1.0, 2.0])
     res = energy_constrained_sup(h.matrix, h, 0.7)
+    check_energy_sup(h.matrix, h, 0.7, res)
     assert abs(res.value - 0.7) < 1e-6
     assert res.attained <= res.value + 1e-9
     assert res.value - res.attained < 1e-6
@@ -376,6 +381,7 @@ def test_energy_constrained_sup_dominates_primal_samples():
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = 0.5 * (m + m.conj().T)
     res = energy_constrained_sup(m, h, budget)
+    check_energy_sup(m, h, budget, res)
     assert res.attained <= res.value + 1e-9
     # the primal certificate is one pure state within the budget
     assert np.linalg.matrix_rank(res.state, tol=1e-12) == 1
@@ -391,6 +397,77 @@ def test_energy_constrained_sup_dominates_primal_samples():
             rho = (1.0 - s) * rho + s * ground
         worst = max(worst, float(np.trace(m @ rho).real))
     assert worst <= res.value + 1e-9
+
+
+def _near_diagonal_cases():
+    """(M, H, budget): a diagonal M plus Hermitian noise of one size, from 0
+    to 1e-6, with H the truncated oscillator at 4, 8 and 16 levels and the
+    budget between its ground and mean energies. Such an M nearly commutes
+    with H, so the dual's curvature can vanish to rounding."""
+    for d in (4, 8, 16):
+        h = TruncatedOscillator(d, 1.0).hamiltonian
+        for noise in (0.0, 1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+            rng = np.random.default_rng([d, round(-np.log10(noise)) if noise else 0])
+            for _ in range(4):
+                z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                m = np.diag(rng.uniform(-1.0, 1.0, d)) + 0.5 * noise * (z + z.conj().T)
+                spread = h.mean_eigenvalue - h.ground_energy
+                yield m, h, h.ground_energy + rng.uniform(0.05, 0.95) * spread
+
+
+def test_energy_constrained_sup_is_exact_on_near_commuting_inputs():
+    for m, h, budget in _near_diagonal_cases():
+        res = energy_constrained_sup(m, h, budget)
+        check_energy_sup(m, h, budget, res)
+        # every minimizer of the dual lies in [0, μ_max], from any ground vector x₀ of H
+        w, v = np.linalg.eigh(h.matrix)
+        x0 = v[:, 0]
+        mu_max = (np.linalg.eigvalsh(m)[-1] - np.vdot(x0, m @ x0).real) / (budget - w[0])
+        ref = _grid_dual_minimum(m, h.matrix, budget, hi=mu_max, points=101, rounds=10)
+        assert abs(res.value - ref) <= 1e-9 * max(1.0, abs(ref)), (res.value, ref)
+        assert res.value - res.attained <= 1e-9 * max(1.0, abs(res.value))
+
+
+@pytest.mark.parametrize("d", [8, 16, 24])
+def test_energy_constrained_sup_on_the_stinespring_delta(d):
+    """Δ = Σ_k (A_k − B_k)†(A_k − B_k) of the 0.70/0.69 attenuator pair, the
+    matrix of the aligned Stinespring certificate."""
+    ka, kb = attenuator(d, 0.70).kraus, attenuator(d, 0.69).kraus
+    delta = sum((a - b).conj().T @ (a - b) for a, b in zip(ka, kb))
+    h = TruncatedOscillator(d, 1.0).hamiltonian
+    for budget in (1.0, 2.0, 3.0):
+        res = energy_constrained_sup(delta, h, budget)
+        check_energy_sup(delta, h, budget, res)
+        assert res.value - res.attained <= 1e-9 * max(1.0, abs(res.value))
+
+
+def test_best_in_span_matches_a_scan_of_the_span():
+    """G and K diagonal in a common basis and a, b spanning two of its
+    vectors: the Bloch vectors of G and K in the span are parallel, and what
+    is left of G's after removing K's direction is rounding noise. The
+    returned vector is within the budget and beats every feasible vector of
+    the span, scanned through its weight p on the second basis vector."""
+    rng = np.random.default_rng(39)
+    p = np.linspace(0.0, 1.0, 1000001)
+    for d in (2, 4, 8):
+        for _ in range(10):
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            u = np.linalg.qr(z)[0]
+            g_ev = rng.uniform(-1.0, 1.0, d) + rng.uniform(-5.0, 5.0)
+            k_ev = rng.uniform(0.0, 3.0, d)
+            i, j = rng.choice(d, 2, replace=False)
+            g = (u * g_ev) @ u.conj().T
+            k = (u * k_ev) @ u.conj().T
+            low, high = sorted((k_ev[i], k_ev[j]))
+            budget = low + rng.uniform(0.05, 0.95) * (high - low)
+            mix = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            a, b = (u[:, [i, j]] @ mix).T
+            x = _best_in_span(a, b, g, k, budget)
+            values = g_ev[i] + p * (g_ev[j] - g_ev[i])
+            feasible = k_ev[i] + p * (k_ev[j] - k_ev[i]) <= budget
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+            assert np.vdot(x, k @ x).real <= budget + 1e-12
+            assert np.vdot(x, g @ x).real >= values[feasible].max() - 1e-12
 
 
 def test_start_vectors_structure():
