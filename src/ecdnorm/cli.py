@@ -391,7 +391,7 @@ def _exp_truncation_ladder(args):
     rows = []
     for n in range(1, d + 1):
         q = subspace_seminorm(the_map, h, n, **_seeded(args))
-        bound = truncation_norm_bound(the_map, h, args.energy, n, **_seeded(args))
+        bound = truncation_norm_bound(the_map, h, args.energy, n)
         level = float(h.eigenvalues[n] if n < d else h.eigenvalues[-1])
         rows.append([n, level, q, bound, ecd.lower])
     return ["n", "next_level_energy", "qn", "trunc_bound", "ecd_lower"], rows

@@ -9,12 +9,14 @@ its witness. Each ascent takes one proposal kind (the capped maximizer of
 the sign linearization at psi.size <= 64, a projected gradient step under a
 larger cap, the Lanczos Ritz vector with no cap) and stops at the first
 proposal that does not improve, or on a stall. The upper side of the bracket
-is the cheapest of several rigorous certificates (Choi-based diamond bound,
-the generic 2 for channel differences, and under an energy cap a
-Stinespring-alignment bound for channel differences or, for any other map, a
-tail-truncation ladder). Estimates never exceed certificates, so the pair
-brackets the true norm. The unconstrained diamond norm is the member of the
-family with no energy cap, bracketed by the same routine.
+is the cheapest of the weak-duality certificates of Watrous's SDP with the
+energy cap added (`TraceNormObjective.dual_bound`), one per input state: the
+maximally mixed state, whose member is the Choi diamond bound, the witness's
+input state and, under a cap below the mean energy, the Gibbs state at the
+budget; a channel difference adds the generic 2 and, under a cap, a
+Stinespring-alignment bound. Estimates never exceed certificates, so the
+pair brackets the true norm. The unconstrained diamond norm is the member of
+the family with no energy cap, bracketed by the same routine.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .operators import (
     Hamiltonian,
     HermitianPreservingMap,
     DensityOperator,
-    hermitian_abs,
-    partial_trace,
     tensor,
     trace_norm,
 )
@@ -41,6 +41,7 @@ from .optim import (
     energy_constrained_sup,
     multistart_ascend,
 )
+from .thermo import solve_gibbs
 
 
 def _reference_dim(the_map: HermitianPreservingMap, r_dim: int | None) -> int:
@@ -105,20 +106,16 @@ def ecd_objective(problem: EcdProblem, psi) -> float:
     return _objective(problem.map, problem.r_dim).value(psi)
 
 
-def diamond_upper_bound(
-    the_map: HermitianPreservingMap, objective: TraceNormObjective | None = None
-) -> float:
-    """Certified diamond-norm bound: ||Tr_out |C|||_∞ over the Choi matrix C.
+def diamond_upper_bound(the_map: HermitianPreservingMap) -> float:
+    """Certified diamond-norm bound λmax(Tr_out |C|) over the Choi matrix C.
 
-    This dominates the unconstrained norm, hence every energy-constrained
-    value as well. It is not clamped at 2 even for channel differences.
-    An objective built on the same map has diagonalized C already; its
-    `sign_shift` is this bound, read without a second eigendecomposition.
+    The member of `TraceNormObjective.dual_bound` at the maximally mixed
+    input with no cap. It dominates the unconstrained norm, hence every
+    energy-constrained value as well, and is not clamped at 2 even for
+    channel differences.
     """
-    if objective is not None:
-        return objective.sign_shift
-    red = partial_trace(hermitian_abs(the_map.choi), (the_map.out_dim, the_map.in_dim), keep=1)
-    return float(np.linalg.eigvalsh(red)[-1])
+    d = the_map.in_dim
+    return _objective(the_map, 1).dual_bound(np.eye(d) / d)
 
 
 def _compressed_choi(the_map: HermitianPreservingMap, isometry: np.ndarray) -> np.ndarray:
@@ -160,30 +157,6 @@ def _aligned_stinespring_bound(
     return 2.0 * math.sqrt(max(sup, 0.0))
 
 
-def _truncation_ladder_bound(problem: EcdProblem, global_bound: float) -> float:
-    """min over n of [diamond bound of the n-level compression + tail cost].
-
-    For P the projector on the n lowest levels and r = E/E_n the largest
-    possible weight outside it, ||ρ - PρP||_1 <= 2 sqrt(r) + r, so the norm
-    is at most the subspace value plus global_bound * (2 sqrt(r) + r).
-    """
-    h = problem.h_in
-    ev = h.eigenvalues
-    d = h.dimension
-    best = global_bound
-    for n in range(d - 1, 0, -1):
-        level = float(ev[n])
-        if level <= 0.0:
-            break  # no tail-weight control from zero-energy levels
-        r = min(1.0, problem.energy / level)
-        tail = global_bound * (2.0 * math.sqrt(r) + r)
-        if tail >= best:
-            break  # tail cost only grows as n shrinks
-        cand = diamond_upper_bound(_compressed_map(problem.map, h.lowest_levels(n))) + tail
-        best = min(best, cand)
-    return best
-
-
 def embed_witness(witness: np.ndarray, d_small: int, d_large: int) -> np.ndarray:
     """Zero-pad an input x reference coefficient matrix into a larger space.
 
@@ -207,11 +180,9 @@ def _estimate(
     """Bracket the norm of the map under the energy cap of problem, or none.
 
     The lower value is the best objective over `restarts` deterministic
-    multi-start ascents plus any extra_starts; the upper value is the minimum
-    over the rigorous certificates. The Choi diamond bound (and the generic 2
-    for channel differences) holds with or without a cap. Under a cap a
-    channel difference adds the aligned Stinespring bound; any other map,
-    which has no Kraus pair to align, adds the truncation ladder.
+    multi-start ascents plus any extra_starts; the upper value is the least
+    of the certificates named in the module docstring, the dual bounds all
+    under one cap on input states (r_dim 1).
     """
     cap = None if problem is None else EnergyCap(problem.h_in, r_dim, problem.energy)
     objective = _objective(the_map, r_dim)
@@ -225,7 +196,15 @@ def _estimate(
         extra_starts=extra_starts,
         max_iter=max_iter,
     )
-    upper = diamond_upper_bound(the_map, objective)
+    d = the_map.in_dim
+    m = witness.reshape(d, r_dim)
+    states = [np.eye(d) / d, m @ m.conj().T]
+    input_cap = None
+    if problem is not None:
+        input_cap = EnergyCap(problem.h_in, 1, problem.energy)
+        if problem.energy < problem.h_in.mean_eigenvalue:
+            states.append(solve_gibbs(problem.h_in, problem.energy).state.matrix)
+    upper = min(objective.dual_bound(rho, input_cap) for rho in states)
     if the_map.kraus_pair is not None:
         upper = min(upper, 2.0)
         if problem is not None:
@@ -233,8 +212,6 @@ def _estimate(
                 upper,
                 _aligned_stinespring_bound(the_map.kraus_pair, problem.h_in, problem.energy),
             )
-    elif problem is not None:
-        upper = _truncation_ladder_bound(problem, upper)
     witness_energy = None if cap is None else cap.energy(witness)
     return EcdEstimate(lower, upper, witness, witness_energy)
 
@@ -328,20 +305,14 @@ def state_truncation_bound(rho: DensityOperator, h_in: Hamiltonian, n: int) -> S
 
 
 def truncation_norm_bound(
-    the_map: HermitianPreservingMap,
-    h_in: Hamiltonian,
-    energy_budget: float,
-    n: int,
-    restarts: int = 32,
-    seed: int = 0,
-    max_iter: int = MAX_ITER,
+    the_map: HermitianPreservingMap, h_in: Hamiltonian, energy_budget: float, n: int
 ) -> float:
-    """Subspace seminorm at n levels plus the tail penalty 8 sqrt(E/E_n).
+    """Diamond bound of the n-level compression plus the tail penalty 8 sqrt(E/E_n).
 
     E_n is the first energy level outside the retained span (the top level
     when n covers the whole space, where the penalty is vacuous but keeps the
-    expression total). Dominates the energy-constrained estimate whenever the
-    seminorm estimate has converged.
+    expression total). Certified for maps of diamond norm at most 2, such as
+    channel differences: the penalty is twice the state truncation bound.
     """
     d = h_in.dimension
     if not 1 <= n <= d:
@@ -349,5 +320,5 @@ def truncation_norm_bound(
     level = float(h_in.eigenvalues[n] if n < d else h_in.eigenvalues[-1])
     if level <= 0.0:
         raise ValueError("tail penalty needs a positive energy at the first dropped level")
-    q = subspace_seminorm(the_map, h_in, n, restarts=restarts, seed=seed, max_iter=max_iter)
+    q = diamond_upper_bound(_compressed_map(the_map, h_in.lowest_levels(n)))
     return q + 8.0 * math.sqrt(energy_budget / level)

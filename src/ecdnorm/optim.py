@@ -8,7 +8,8 @@ search; and one solver for maximizing a linear functional over
 energy-bounded states: the one-dimensional dual min_{μ≥0} λmax(G − μK) + μE,
 minimized by safeguarded Newton steps on Danskin's derivative E − ⟨v|K|v⟩
 inside the closed-form bracket [0, μ_max], which returns the maximizing
-state as well; the capped proposal and `energy_constrained_sup` both use it.
+state as well; the capped proposal, the dual certificates of
+`TraceNormObjective.dual_bound` and `energy_constrained_sup` all use it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .operators import Hamiltonian, InfeasibleProblemError
 
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 MAX_ITER = 2000
+DUAL_FLOOR = 1e-4  # weight of I/d mixed into the input state of a dual bound
 STALL_WINDOW = 20
 STALL_REL_TOL = 1e-8
 
@@ -171,15 +173,16 @@ class TraceNormObjective:
         self.r_dim = int(r_dim)
         self._c4 = np.ascontiguousarray(choi.reshape(out_dim, in_dim, out_dim, in_dim))
         w, v = np.linalg.eigh(choi)
-        # |C| = A A† and C = A diag(sign w) A† with A = V √|w|
-        a3 = (v * np.sqrt(np.abs(w))).reshape(out_dim, in_dim, w.size)
-        # Tr_out |C| from the full spectrum, for sign_shift
-        self._abs_margin = np.tensordot(a3, a3.conj(), axes=([0, 2], [0, 2]))
         keep = np.abs(w) > 1e-14 * max(float(np.abs(w).max(initial=0.0)), 1e-300)
         self._rank = int(keep.sum())
-        self._sigma = np.where(w[keep] >= 0.0, 1.0, -1.0)
-        # F is tall-skinny: the columns of A with nonzero weight
-        self._f3 = np.ascontiguousarray(a3[:, :, keep])
+        self._w = w[keep]
+        self._sigma = np.where(self._w >= 0.0, 1.0, -1.0)
+        # the trace norm of the spectrum F leaves out, for `dual_bound`
+        self._dropped = float(np.abs(w[~keep]).sum())
+        # C ≈ F diag(σ) F† with F = V √|w| over the kept eigenpairs, tall-skinny
+        self._f3 = np.ascontiguousarray(
+            (v[:, keep] * np.sqrt(np.abs(self._w))).reshape(out_dim, in_dim, self._rank)
+        )
         # F† per output level, (out, rank, in), for pulling actions back to inputs
         self._f3_adj = np.ascontiguousarray(self._f3.conj().transpose(0, 2, 1))
         # adjoint applied to the identity, for the identity part of sign matrices
@@ -243,11 +246,35 @@ class TraceNormObjective:
     def sign_value(self, psi: np.ndarray) -> float:
         return float(np.vdot(psi, self.apply_sign(psi)).real)
 
-    @property
-    def sign_shift(self) -> float:
-        """Bound on |Tr[S X(ψ)]| over unit ψ and any sign matrix S: the
-        largest eigenvalue of Tr_out |C|, which is the Choi diamond bound."""
-        return float(np.linalg.eigvalsh(self._abs_margin)[-1])
+    def dual_bound(self, rho: np.ndarray, cap: EnergyCap | None = None) -> float:
+        """Certified bound on the norm from the dual point of the input state rho.
+
+        With ρ' = (1 − s)ρ + s·I/d (s = DUAL_FLOOR), B = √ρ'ᵀ and (I⊗B)F = QR,
+        M = R⁻¹|RσR†|R⁻† gives Z = F(M + σ)F†/2 ≥ 0 with Z − C ≥ 0, so by weak
+        duality the norm (any r_dim) is at most the sup of Tr[Gᵀρ] over input
+        states, G = Tr_out(2Z − C) = Tr_out(FMF†): λmax(G) with no cap, else the
+        energy dual of Gᵀ under cap (r_dim 1), which any μ ≥ 0 certifies.
+        Rounding is repaired: the least eigenvalue of S(M ± σ)S, S = diag(√|w|),
+        is that of 2Z or 2(Z − C), and a negative one adds out·|λmin|; the
+        eigenvalues F drops add their trace norm. At I/d it is the Choi bound.
+        """
+        d = self.in_dim
+        rho = (1.0 - DUAL_FLOOR) * np.asarray(rho) + (DUAL_FLOOR / d) * np.eye(d)
+        p, u = np.linalg.eigh(rho.T)
+        b = (u * np.sqrt(np.maximum(p, 0.0))) @ u.conj().T
+        r = np.linalg.qr(np.matmul(b, self._f3).reshape(self.out_dim * d, self._rank), mode="r")
+        lam, vec = np.linalg.eigh((r * self._sigma) @ r.conj().T)
+        a = np.abs(lam)
+        wm = np.linalg.solve(r, vec)  # W = R⁻¹U: M = W|λ|W† and FMF† = (FW)|λ|(FW)†
+        fw = np.matmul(self._f3, wm)
+        g = np.tensordot(fw * a, fw.conj(), axes=([0, 2], [0, 2]))
+        sw = np.sqrt(np.abs(self._w))[:, None] * wm
+        core = (sw * a) @ sw.conj().T  # SMS
+        least = min(
+            np.linalg.eigvalsh(core + np.diag(t * self._w)).min(initial=0.0) for t in (1, -1)
+        )
+        value = np.linalg.eigvalsh(g)[-1] if cap is None else _energy_dual(g.T, cap, 0.0, 1e-12)[1]
+        return float(value) - self.out_dim * float(least) + self._dropped
 
 
 LANCZOS_STEPS = 24

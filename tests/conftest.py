@@ -9,6 +9,7 @@ plain random search plus hill climbing on the feasible set.
 import numpy as np
 
 from ecdnorm import Channel, DensityOperator
+from ecdnorm.optim import DUAL_FLOOR
 
 
 def haar_vector(rng, dim):
@@ -215,6 +216,56 @@ def check_energy_sup(m, h, budget, res):
     assert abs(w[-1] - 1.0) <= 1e-12 and float(np.max(np.abs(w[:-1]), initial=0.0)) <= 1e-12
     assert float(np.trace(hm @ rho).real) <= budget + 1e-12
     assert abs(float(np.trace(m @ rho).real) - res.attained) <= 1e-12 * scale
+
+
+def grid_dual_minimum(m, h, budget, hi=8.0, points=1001, rounds=6):
+    """min over μ in [0, hi] of λmax(m − μh) + μ·budget by repeatedly refined
+    grids; each round keeps the two grid steps around the grid minimum,
+    which hold the minimizer of the convex function."""
+    lo = 0.0
+    for _ in range(rounds):
+        mus = np.linspace(lo, hi, points)
+        vals = np.linalg.eigvalsh(m[None] - mus[:, None, None] * h[None])[:, -1] + mus * budget
+        i = int(np.argmin(vals))
+        step = mus[1] - mus[0]
+        lo, hi = max(mus[i] - step, 0.0), mus[i] + step
+    return float(vals[i])
+
+
+def check_dual_bound(the_map, rho, h, budget, value):
+    """Recheck a `TraceNormObjective.dual_bound` value without the library's solver.
+
+    Rebuilds the dual point densely: ρ' = (1 − s)ρ + s·I/d with the library's
+    floor s, B = √ρ'ᵀ from `eigh`, X = (I⊗B)C(I⊗B), and with an explicit B⁻¹,
+    Z = (I⊗B⁻¹)X₊(I⊗B⁻¹). Asserts Z ≥ −1e-10 and Z − C ≥ −1e-10, takes
+    G = Tr_out(2Z − C) by a loop partial trace, and its own value: λmax(G)
+    when h is None, else the dual of Gᵀ under the budget minimized on a
+    refined grid over [0, μ_max]. value must be within 1e-9·max(1, |v|) of
+    it, in both directions. Returns the checker's value.
+    """
+    d_in, d_out = the_map.in_dim, the_map.out_dim
+    c = np.asarray(the_map.choi)
+    rho = (1.0 - DUAL_FLOOR) * np.asarray(rho) + (DUAL_FLOOR / d_in) * np.eye(d_in)
+    p, u = np.linalg.eigh(rho.T)
+    lift = np.kron(np.eye(d_out), (u * np.sqrt(p)) @ u.conj().T)
+    lift_inv = np.kron(np.eye(d_out), (u / np.sqrt(p)) @ u.conj().T)
+    w, v = np.linalg.eigh(lift @ c @ lift)
+    z = lift_inv @ ((v * np.maximum(w, 0.0)) @ v.conj().T) @ lift_inv
+    assert np.linalg.eigvalsh(z)[0] >= -1e-10
+    assert np.linalg.eigvalsh(z - c)[0] >= -1e-10
+    g = loop_partial_trace(2.0 * z - c, (d_out, d_in), keep=1)
+    g = 0.5 * (g + g.conj().T)
+    if h is None:
+        want = float(np.linalg.eigvalsh(g)[-1])
+    else:
+        hm = np.asarray(h.matrix)
+        e, basis = np.linalg.eigh(hm)
+        x0 = basis[:, 0]
+        gt = g.T
+        mu_max = (np.linalg.eigvalsh(gt)[-1] - np.vdot(x0, gt @ x0).real) / (budget - e[0])
+        want = grid_dual_minimum(gt, hm, budget, hi=max(mu_max, 0.0), points=101, rounds=10)
+    assert abs(value - want) <= 1e-9 * max(1.0, abs(want)), (value, want)
+    return want
 
 
 def _entropy_rows(p):

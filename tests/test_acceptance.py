@@ -121,7 +121,7 @@ def test_criterion_2_truncation_inequalities():
         budget = ev[0] + rng.uniform(0.2, 0.8) * (ev.mean() - ev[0])
         n = int(rng.integers(2, 4))
         diff = HermitianPreservingMap.difference(phi, psi)
-        cap = truncation_norm_bound(diff, h, budget, n, restarts=2, max_iter=150)
+        cap = truncation_norm_bound(diff, h, budget, n)
         est = estimate_ecd_norm(EcdProblem(diff, h, budget), restarts=2, max_iter=150)
         worst_margin = min(worst_margin, cap - est.lower)
         assert cap >= est.lower - 1e-9

@@ -24,6 +24,7 @@ from ecdnorm import (
     HermitianPreservingMap,
     InfeasibleProblemError,
     OscillatorEntropyBound,
+    TruncatedOscillator,
     attenuator,
     diamond_upper_bound,
     ecd_objective,
@@ -253,7 +254,7 @@ def test_truncation_norm_bound_zero_map():
     ev = np.array([0.0, 1.0, 2.0, 3.0])
     h = Hamiltonian(ev)
     for n in (1, 2, 3):
-        got = truncation_norm_bound(zero, h, 0.8, n, restarts=2, max_iter=50)
+        got = truncation_norm_bound(zero, h, 0.8, n)
         assert abs(got - 8.0 * math.sqrt(0.8 / ev[n])) < 1e-12
 
 
@@ -276,9 +277,7 @@ def test_truncation_norm_bound_dominates_estimate():
         for n in (2, 3):
             if problem.h_in.eigenvalues[min(n, 2)] <= 0 and n < 3:
                 continue
-            cap = truncation_norm_bound(
-                problem.map, problem.h_in, problem.energy, n, restarts=4, max_iter=250
-            )
+            cap = truncation_norm_bound(problem.map, problem.h_in, problem.energy, n)
             assert cap >= est.lower - 1e-9
 
 
@@ -347,10 +346,11 @@ def test_diamond_upper_bound_dominates_lower_estimate():
 
 def test_capped_map_without_kraus_pair_gets_an_energy_aware_upper():
     """A capped map with no Kraus pair (here from `scaled`) is certified below
-    its Choi diamond bound by the truncation ladder.
+    its Choi diamond bound D by the dual bound at an input state.
 
     The attenuators agree on the vacuum, so at E = 0.1 on an oscillator the
-    one-level rung costs only the tail, D·(2√0.1 + 0.1) ≈ 0.73·D.
+    Gibbs-state certificate meets the lower value 0.005108 to 2e-4 relative,
+    far below D·(2√0.1 + 0.1) ≈ 0.73·D.
     """
     d, budget = 4, 0.1
     diff = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
@@ -361,7 +361,21 @@ def test_capped_map_without_kraus_pair_gets_an_energy_aware_upper():
     dia = diamond_upper_bound(the_map)
     assert est.upper <= dia * (2.0 * math.sqrt(budget) + budget) + 1e-12
     assert est.upper < 0.75 * dia
+    assert est.upper <= 0.0053
     assert est.lower <= est.upper + 1e-12
+
+
+@pytest.mark.parametrize("d", [8, 16, 24])
+def test_attenuator_pair_upper_from_the_gibbs_state(d):
+    """The 0.70/0.69 attenuator pair at E = 2 on the oscillator: the dual bound
+    at the Gibbs state of the budget brings `upper` to about 0.025309 at 16
+    and 24 levels, where the Choi and Stinespring certificates stop at
+    0.026602."""
+    diff = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
+    problem = EcdProblem(diff, TruncatedOscillator(d, 1.0).hamiltonian, 2.0)
+    est = estimate_ecd_norm(problem, restarts=1, max_iter=5)
+    assert est.upper <= 0.02532
+    assert est.lower <= est.upper
 
 
 def test_lower_above_certificate_by_rounding_keeps_the_certificate():

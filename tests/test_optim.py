@@ -10,8 +10,10 @@ from conftest import (
     batch_difference_norms,
     check_energy_sup,
     ginibre_density,
+    grid_dual_minimum,
     haar_vector,
     kraus_sign_surrogate,
+    loop_partial_trace,
     random_channel,
 )
 from ecdnorm import (
@@ -248,11 +250,18 @@ def test_sign_surrogate_touches_from_below():
         assert obj.sign_value(v) <= obj.value(v) + 1e-9
 
 
-def test_sign_shift_equals_diamond_upper_bound():
+def test_identity_member_equals_choi_bound():
+    """The dual bound at I/d with no cap, through the objective and through
+    `diamond_upper_bound`, is λmax(Tr_out |C|) from numpy's eigh and a loop
+    partial trace."""
     rng = np.random.default_rng(36)
     for d_in, d_out in [(2, 2), (3, 4)]:
         obj, diff, _, _ = _difference_objective(rng, d_in, d_out, 2)
-        assert abs(obj.sign_shift - diamond_upper_bound(diff)) < 1e-11
+        w, v = np.linalg.eigh(diff.choi)
+        margin = loop_partial_trace((v * np.abs(w)) @ v.conj().T, (d_out, d_in), 1)
+        want = float(np.linalg.eigvalsh(margin)[-1])
+        assert abs(obj.dual_bound(np.eye(d_in) / d_in) - want) < 1e-11
+        assert abs(diamond_upper_bound(diff) - want) < 1e-11
 
 
 def _capped_cases():
@@ -330,20 +339,6 @@ def test_capped_proposals_never_score_below_current_point(monkeypatch):
     assert max(shortfalls) <= 1e-9, sorted(shortfalls)[-5:]
 
 
-def _grid_dual_minimum(m, h, budget, hi=8.0, points=1001, rounds=6):
-    """min over μ in [0, hi] of λmax(m − μh) + μ·budget by repeatedly refined
-    grids; each round keeps the two grid steps around the grid minimum,
-    which hold the minimizer of the convex function."""
-    lo = 0.0
-    for _ in range(rounds):
-        mus = np.linspace(lo, hi, points)
-        vals = np.linalg.eigvalsh(m[None] - mus[:, None, None] * h[None])[:, -1] + mus * budget
-        i = int(np.argmin(vals))
-        step = mus[1] - mus[0]
-        lo, hi = max(mus[i] - step, 0.0), mus[i] + step
-    return float(vals[i])
-
-
 @pytest.mark.parametrize(
     "diag, multiplier",
     [([0.0, 1.5, 2.0, 2.2], 1.5), ([3.0, 1.0, 0.0, -1.0], 0.0)],
@@ -355,7 +350,7 @@ def test_energy_constrained_sup_matches_grid_minimum(diag, multiplier):
     m = np.diag(diag).astype(np.complex128)
     res = energy_constrained_sup(m, h, 0.5)
     check_energy_sup(m, h, 0.5, res)
-    assert abs(res.value - _grid_dual_minimum(m, h.matrix, 0.5)) < 1e-9
+    assert abs(res.value - grid_dual_minimum(m, h.matrix, 0.5)) < 1e-9
     assert abs(res.multiplier - multiplier) < 1e-9
     assert abs(res.value - res.attained) < 1e-9
 
@@ -423,7 +418,7 @@ def test_energy_constrained_sup_is_exact_on_near_commuting_inputs():
         w, v = np.linalg.eigh(h.matrix)
         x0 = v[:, 0]
         mu_max = (np.linalg.eigvalsh(m)[-1] - np.vdot(x0, m @ x0).real) / (budget - w[0])
-        ref = _grid_dual_minimum(m, h.matrix, budget, hi=mu_max, points=101, rounds=10)
+        ref = grid_dual_minimum(m, h.matrix, budget, hi=mu_max, points=101, rounds=10)
         assert abs(res.value - ref) <= 1e-9 * max(1.0, abs(ref)), (res.value, ref)
         assert res.value - res.attained <= 1e-9 * max(1.0, abs(res.value))
 
