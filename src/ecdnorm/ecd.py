@@ -16,7 +16,9 @@ input state and, under a cap below the mean energy, the Gibbs state at the
 budget; a channel difference adds the generic 2 and, under a cap, a
 Stinespring-alignment bound. Estimates never exceed certificates, so the
 pair brackets the true norm. The unconstrained diamond norm is the member of
-the family with no energy cap, bracketed by the same routine.
+the family with no energy cap, bracketed by the same routine. The factor of
+the Choi matrix behind both comes from a map's Kraus pair when it carries
+one (a rank-sized QR), else from `eigh` of the whole Choi matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    Channel,
     Hamiltonian,
     HermitianPreservingMap,
     DensityOperator,
@@ -90,7 +93,7 @@ class EcdEstimate:
 
 
 def _objective(the_map: HermitianPreservingMap, r_dim: int) -> TraceNormObjective:
-    return TraceNormObjective(the_map.choi, the_map.in_dim, the_map.out_dim, r_dim)
+    return TraceNormObjective(the_map.choi, the_map.in_dim, the_map.out_dim, r_dim, the_map.kraus_pair)
 
 
 def ecd_objective(problem: EcdProblem, psi) -> float:
@@ -127,6 +130,12 @@ def _compressed_choi(the_map: HermitianPreservingMap, isometry: np.ndarray) -> n
 
 
 def _compressed_map(the_map: HermitianPreservingMap, isometry: np.ndarray) -> HermitianPreservingMap:
+    """Θ on the span of the isometry V; Φ − Ψ stays the difference of Φ(V·V†) and Ψ(V·V†)."""
+    if the_map.kraus_pair is not None:
+        ka, kb = the_map.kraus_pair
+        return HermitianPreservingMap.difference(
+            Channel([k @ isometry for k in ka]), Channel([k @ isometry for k in kb])
+        )
     c = _compressed_choi(the_map, isometry)
     c = 0.5 * (c + c.conj().T)
     return HermitianPreservingMap(c, isometry.shape[1], the_map.out_dim)

@@ -279,9 +279,10 @@ class HermitianPreservingMap:
 
     Most instances arise as differences of two channels; the two Kraus
     families are then retained because they enable sharper norm certificates.
+    Only `difference` attaches them, so they always describe the Choi matrix.
     """
 
-    def __init__(self, choi, in_dim: int, out_dim: int, kraus_pair=None):
+    def __init__(self, choi, in_dim: int, out_dim: int):
         c = as_operator(choi)
         if c.shape != (in_dim * out_dim, in_dim * out_dim):
             raise ValueError("Choi matrix shape does not match declared dimensions")
@@ -290,18 +291,15 @@ class HermitianPreservingMap:
         self._choi = _frozen(c)
         self._in_dim = in_dim
         self._out_dim = out_dim
-        self._kraus_pair = kraus_pair
+        self._kraus_pair = None
 
     @classmethod
     def difference(cls, phi: Channel, psi: Channel) -> "HermitianPreservingMap":
         if (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim):
             raise ValueError("channel difference requires matching dimensions")
-        return cls(
-            phi.choi - psi.choi,
-            phi.in_dim,
-            phi.out_dim,
-            kraus_pair=(phi.kraus, psi.kraus),
-        )
+        out = cls(phi.choi - psi.choi, phi.in_dim, phi.out_dim)
+        out._kraus_pair = (phi.kraus, psi.kraus)
+        return out
 
     @classmethod
     def from_channel(cls, phi: Channel) -> "HermitianPreservingMap":

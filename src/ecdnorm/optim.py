@@ -155,7 +155,8 @@ class TraceNormObjective:
     equals (I ⊗ Mᵀ) C (I ⊗ M̄), a congruence with the Choi matrix C of Θ.
     With C = F diag(σ) F†, the output is X(ψ) = Y diag(σ) Y† with Y = (I ⊗ Mᵀ)F,
     of rank at most the Choi rank; its spectrum comes from the small
-    R diag(σ) R† of a thin QR factorization Y = QR.
+    R diag(σ) R† of a thin QR factorization Y = QR. F comes from a channel
+    difference's Kraus pair if given (`_kraus_eigh`), else from `eigh` of C.
 
     `value_and_grad` keeps the sign matrix S of the last output, which makes
     the linearization ψ' -> Tr[S X(ψ')] available through `sign_value` and
@@ -167,13 +168,17 @@ class TraceNormObjective:
     of the map at I; S itself is never formed.
     """
 
-    def __init__(self, choi: np.ndarray, in_dim: int, out_dim: int, r_dim: int):
+    def __init__(self, choi: np.ndarray, in_dim: int, out_dim: int, r_dim: int, kraus_pair=None):
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.r_dim = int(r_dim)
         self._c4 = np.ascontiguousarray(choi.reshape(out_dim, in_dim, out_dim, in_dim))
-        w, v = np.linalg.eigh(choi)
-        keep = np.abs(w) > 1e-14 * max(float(np.abs(w).max(initial=0.0)), 1e-300)
+        if kraus_pair is not None:
+            w, v, scale = _kraus_eigh(kraus_pair)
+        else:
+            w, v = np.linalg.eigh(choi)
+            scale = float(np.abs(w).max(initial=0.0))
+        keep = np.abs(w) > 1e-14 * max(scale, 1e-300)
         self._rank = int(keep.sum())
         self._w = w[keep]
         self._sigma = np.where(self._w >= 0.0, 1.0, -1.0)
@@ -275,6 +280,19 @@ class TraceNormObjective:
         )
         value = np.linalg.eigvalsh(g)[-1] if cap is None else _energy_dual(g.T, cap, 0.0, 1e-12)[1]
         return float(value) - self.out_dim * float(least) + self._dropped
+
+
+def _kraus_eigh(kraus_pair):
+    """(Λ, QU, ‖R‖₂²) with C = (QU) Λ (QU)†: the Kraus vectors (A_k, then B_k)
+    stacked as columns are QR (thin), and R J R† = U Λ U†, J = diag(+1…, −1…);
+    O(n·k²) for n rows and k operators. Rounding in Λ scales with ‖R‖₂², so
+    the rank is cut against it and a zero difference keeps none."""
+    ka, kb = kraus_pair
+    a = np.stack([k.reshape(-1) for k in (*ka, *kb)], axis=1)
+    q, r = np.linalg.qr(a)
+    j = np.repeat([1.0, -1.0], [len(ka), len(kb)])
+    w, u = np.linalg.eigh((r * j) @ r.conj().T)
+    return w, q @ u, float(np.linalg.norm(r, 2)) ** 2
 
 
 LANCZOS_STEPS = 24

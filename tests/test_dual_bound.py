@@ -11,10 +11,10 @@ from ecdnorm import (
     EnergyCap,
     Hamiltonian,
     HermitianPreservingMap,
-    TraceNormObjective,
     estimate_ecd_norm,
     solve_gibbs,
 )
+from ecdnorm import ecd
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=30, deadline=None)
 
@@ -33,7 +33,9 @@ def _random_map(rng, d, scale=None):
 
 
 def _objective(the_map):
-    return TraceNormObjective(the_map.choi, the_map.in_dim, the_map.out_dim, the_map.in_dim)
+    """As `_estimate` builds it: from the Kraus pair of a channel difference,
+    from `eigh` of the Choi matrix for a `scaled` one."""
+    return ecd._objective(the_map, the_map.in_dim)
 
 
 def _budget(rng, h):

@@ -40,6 +40,7 @@ from ecdnorm import (
     trace_norm,
     truncation_norm_bound,
 )
+from ecdnorm import ecd
 
 
 def _random_difference(rng, d, n_kraus=2):
@@ -65,6 +66,29 @@ def test_zero_map_norm_is_zero():
     est = estimate_ecd_norm(EcdProblem(zero, h, 1.0), restarts=2, max_iter=50)
     assert est.lower < 1e-12
     assert est.upper < 1e-12
+
+
+@pytest.mark.parametrize(
+    "family, d",
+    [("attenuator", 2), ("attenuator", 4), ("attenuator", 8), ("attenuator", 16),
+     ("random", 3), ("random", 4)],
+)
+def test_zero_difference_is_exactly_zero(family, d):
+    """Φ − Φ from the Kraus pair: the rank cut is relative to ‖R‖₂² of the
+    pair's QR, so rounding keeps no rank and the witness scores exactly 0,
+    also for a random channel with d² Kraus operators (2d² columns)."""
+    phi = attenuator(d, 0.7) if family == "attenuator" else random_channel(
+        np.random.default_rng(d), d, d, d * d
+    )
+    zero = HermitianPreservingMap.difference(phi, phi)
+    assert ecd._objective(zero, d)._rank == 0
+    h = TruncatedOscillator(d).hamiltonian
+    for est in (
+        estimate_ecd_norm(EcdProblem(zero, h, 1.0), restarts=2, max_iter=20),
+        estimate_diamond_norm(zero, restarts=2, max_iter=20),
+    ):
+        assert est.lower == 0.0
+        assert est.upper <= 1e-12
 
 
 def test_single_channel_norm_is_one():
@@ -256,6 +280,17 @@ def test_truncation_norm_bound_zero_map():
     for n in (1, 2, 3):
         got = truncation_norm_bound(zero, h, 0.8, n)
         assert abs(got - 8.0 * math.sqrt(0.8 / ev[n])) < 1e-12
+
+
+def test_compressed_difference_keeps_its_kraus_pair():
+    """Φ − Ψ on the lowest levels is the difference of the compressed
+    channels: it keeps a Kraus pair, and its Choi matrix is the compressed
+    Choi matrix of the whole map."""
+    the_map = HermitianPreservingMap.difference(attenuator(6, 0.70), attenuator(6, 0.69))
+    v = TruncatedOscillator(6).hamiltonian.lowest_levels(3)
+    small = ecd._compressed_map(the_map, v)
+    assert small.kraus_pair is not None
+    assert np.abs(small.choi - ecd._compressed_choi(the_map, v)).max() < 1e-14
 
 
 def test_truncation_norm_bound_validation():

@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Before/after benchmark pairs of two checkouts, written to BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --label kraus-route
+
+For each workload it runs `perfbench/run.py` (untraced, seed SEED, for the
+`run_seconds` of BENCHMARK.json) in the parent and in the change checkout,
+PAIRS times, the parent first in even pairs and the change first in odd
+ones, and keeps every run's metrics and their medians. It also records how
+far the lower and upper value of every bracket task (capped-families,
+lanczos-zoo) moved between the checkouts, and the time to build the
+trace-norm objective of the 0.70/0.69 attenuator pair at 8, 16 and 24
+levels. Every measurement runs in a fresh process with one BLAS thread.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+SEED = 601
+# ten pairs: a gain is claimed only if it wins at least nine of them
+PAIRS = 10
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+BRACKETS = """
+import json, sys, tempfile
+sys.path.insert(0, "perfbench")
+import run, workloads
+out = {}
+for w in ("capped-families", "lanczos-zoo"):
+    lib = run.import_library(False)
+    tasks = workloads.pool(w)
+    with tempfile.TemporaryDirectory() as work:
+        workloads.prepare(tasks, lib, work)
+        for t in (t for t in tasks if t.kind == "bracket"):
+            _, res, exc = run.execute(t, lib)
+            if exc is not None:
+                raise exc
+            out[w + "/" + t.key] = [res.lower, res.upper]
+print(json.dumps(out))
+"""
+
+CONSTRUCTOR = """
+import json, statistics, sys, time
+sys.path.insert(0, "src")
+from ecdnorm import HermitianPreservingMap, attenuator, ecd
+out = {}
+for d in (8, 16, 24):
+    m = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
+    times = []
+    for _ in range(9):
+        start = time.perf_counter()
+        ecd._objective(m, d)
+        times.append(time.perf_counter() - start)
+    out[str(d)] = statistics.median(times)
+print(json.dumps(out))
+"""
+
+
+def _last_json(cmd, cwd) -> dict:
+    proc = subprocess.run(cmd, cwd=cwd, env=ENV, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def bench_run(checkout, workload) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", "0"]
+    res = _last_json(cmd, checkout)
+    metrics = {k: v["value"] for k, v in res["metrics"].items()}
+    return {"correct": res["correct"], "attempted": res["attempted"], "failed": res["failed"], **metrics}
+
+
+def medians(runs) -> dict:
+    """Median of each metric; every run's correctness and the total failed."""
+    out = {k: statistics.median(r[k] for r in runs) for k in runs[0] if k not in ("correct", "failed")}
+    return {**out, "all_correct": all(r["correct"] for r in runs), "failed": sum(r["failed"] for r in runs)}
+
+
+def drift(before: dict, after: dict) -> dict:
+    def rel(a, b):
+        return abs(b - a) / max(abs(a), 1e-300) if a != b else 0.0
+
+    return {
+        key: {"lower": rel(lo, after[key][0]), "upper": rel(up, after[key][1])}
+        for key, (lo, up) in before.items()
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--label", required=True)
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    doc = {"label": args.label, "seed": SEED, "seconds": SECONDS, "pairs": PAIRS,
+           "blas_threads": 1, "workloads": {}}
+    for workload in WORKLOADS:
+        runs = {side: [] for side in sides}
+        for i in range(PAIRS):
+            order = list(sides.items())
+            for side, checkout in order if i % 2 == 0 else order[::-1]:
+                runs[side].append(bench_run(checkout, workload))
+                print(f"{workload} pair {i} {side}: {runs[side][-1]['tasks_per_s']:.3f} tasks/s",
+                      file=sys.stderr)
+        doc["workloads"][workload] = {
+            "median": {side: medians(r) for side, r in runs.items()},
+            "runs": runs,
+            "tasks_per_s_wins": sum(
+                c["tasks_per_s"] > p["tasks_per_s"] for p, c in zip(runs["parent"], runs["change"])
+            ),
+        }
+    brackets = {side: _last_json([sys.executable, "-c", BRACKETS], c) for side, c in sides.items()}
+    per_task = drift(brackets["parent"], brackets["change"])
+    doc["bracket_drift"] = {
+        "max_lower_rel": max(d["lower"] for d in per_task.values()),
+        "max_upper_rel": max(d["upper"] for d in per_task.values()),
+        "tasks": per_task,
+    }
+    doc["constructor_s"] = {
+        side: _last_json([sys.executable, "-c", CONSTRUCTOR], c) for side, c in sides.items()
+    }
+    out = args.change / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(out, file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
