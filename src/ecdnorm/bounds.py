@@ -24,6 +24,12 @@ The input-side entanglement-assisted bound needs no energy gain factor, so
 arbitrary channels qualify. The premise in every case is that the two
 channels being compared are within 2ε in the energy-constrained norm at the
 matching input energy; k is the energy gain factor of the channels.
+
+The formula is one function, `_terms`, with math or numpy logarithms: a
+kind's call, its array form `terms` and every step of `optimize_t` score t
+through it. Inputs are checked once per public entry, as BoundInputs: the
+t of a call, both ends of a `terms` array, and for `optimize_t` the ends of
+its grid, which enclose every t it scores.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .operators import Hamiltonian
 from .optim import golden_section_min
 from .thermo import (
     HarmonicModes,
-    max_entropy,
     oscillator_entropy_bound,
     shifted_bound_saturation,
     shifted_entropy_bound,
@@ -181,31 +186,6 @@ def _terms(epsilon, energy_arg, t, entropy_bound, coefficients, use_log_shift, l
     return main, g_term, h_term
 
 
-def _assemble(
-    inputs: BoundInputs,
-    c_main: float,
-    c_g: float,
-    c_h: float,
-    use_log_shift: bool,
-) -> BoundValue:
-    main, g_term, h_term = _terms(
-        inputs.epsilon,
-        inputs.energy_arg,
-        inputs.t,
-        inputs.entropy_bound,
-        (c_main, c_g, c_h),
-        use_log_shift,
-        math,
-    )
-    return BoundValue(
-        total=main + g_term + h_term,
-        main_term=main,
-        g_term=g_term,
-        h2_term=h_term,
-        t_used=inputs.t,
-    )
-
-
 @dataclass(frozen=True)
 class BoundKind:
     """One row of the bound table: the coefficients (c_main, c_g, c_h).
@@ -230,7 +210,16 @@ class BoundKind:
         return self.c_main, self.c_g, self.c_h
 
     def __call__(self, inputs: BoundInputs, use_log_shift: bool = False) -> BoundValue:
-        return _assemble(inputs, *self._coefficients(inputs.copies), use_log_shift)
+        main, g_term, h_term = _terms(
+            inputs.epsilon,
+            inputs.energy_arg,
+            inputs.t,
+            inputs.entropy_bound,
+            self._coefficients(inputs.copies),
+            use_log_shift,
+            math,
+        )
+        return BoundValue(main + g_term + h_term, main, g_term, h_term, inputs.t)
 
     def terms(
         self,
@@ -279,7 +268,9 @@ NEAR_TIE = 1e-12
 
 
 def t_grid(epsilon: float, points: int) -> np.ndarray:
-    """Log-spaced values of t from T_FLOOR_SCALE/ε to 1/(2ε)."""
+    """Log-spaced values of t from T_FLOOR_SCALE/ε to 1/(2ε), for ε in (0, 1]."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     t_lo = T_FLOOR_SCALE / epsilon
     t_hi = 1.0 / (2.0 * epsilon)
     return np.exp(np.linspace(math.log(t_lo), math.log(t_hi), points))
@@ -292,38 +283,33 @@ def optimize_t(
     entropy_bound: EntropyBound,
     copies: int = 1,
     use_log_shift: bool = False,
-    grid_points: int = GRID_POINTS,
 ) -> tuple[float, BoundValue]:
     """Minimize a bound total over t in (0, 1/(2ε)].
 
-    Scans a log-spaced grid, then refines around the best grid point with a
-    golden-section search in log t down to relative width 1e-6. The returned
-    total never exceeds any grid value. kind is a BOUND_KINDS key or a
-    BoundKind.
+    Scans a log-spaced grid of GRID_POINTS values, then refines around the
+    best grid point with a golden-section search in log t down to relative
+    width 1e-6. The returned total never exceeds any grid value. kind is a
+    BOUND_KINDS key or a BoundKind.
 
-    The grid is scanned in one array pass (`BoundKind.terms`); the points
-    whose array total lies within NEAR_TIE of the smallest are rescored one
-    by one, so the chosen point, and all that follows, is that of a
-    point-by-point scan.
+    The grid is scanned in one array pass (`BoundKind.terms`), which checks
+    the inputs at both ends of the grid; every later t lies between them, so
+    the scalar steps call `_terms` directly. The points whose array total
+    lies within NEAR_TIE of the smallest are rescored one by one, so the
+    chosen point, and all that follows, is that of a point-by-point scan.
     """
     bound_fn = BOUND_KINDS[kind] if isinstance(kind, str) else kind
     if not isinstance(bound_fn, BoundKind):
         raise TypeError(f"kind must be a BOUND_KINDS key or a BoundKind, got {kind!r}")
-
-    def total_at(t: float) -> float:
-        inputs = BoundInputs(
-            epsilon=epsilon,
-            energy_arg=energy_arg,
-            t=t,
-            entropy_bound=entropy_bound,
-            copies=copies,
-        )
-        return bound_fn(inputs, use_log_shift).total
-
-    grid = t_grid(epsilon, grid_points)
+    grid = t_grid(epsilon, GRID_POINTS)
     main, g_terms, h_terms = bound_fn.terms(
         epsilon, energy_arg, grid, entropy_bound, copies, use_log_shift
     )
+    coefficients = bound_fn._coefficients(copies)
+
+    def total_at(t: float) -> float:
+        m, g, h = _terms(epsilon, energy_arg, t, entropy_bound, coefficients, use_log_shift, math)
+        return m + g + h
+
     approx = main + g_terms + h_terms
     low = approx.min()
     # `not >` keeps every point when a total is nan, as the scan would see it
@@ -332,16 +318,10 @@ def optimize_t(
     k = int(np.argmin(totals))
     i, grid_best = int(points[k]), totals[k]
     a = math.log(grid[max(i - 1, 0)])
-    b = math.log(grid[min(i + 1, grid_points - 1)])
+    b = math.log(grid[min(i + 1, GRID_POINTS - 1)])
     u, val = golden_section_min(lambda x: total_at(math.exp(x)), a, b, tol=1e-6)
     t_star = math.exp(u)
     if grid_best < val:
         t_star, val = float(grid[i]), grid_best
-    inputs = BoundInputs(
-        epsilon=epsilon,
-        energy_arg=energy_arg,
-        t=t_star,
-        entropy_bound=entropy_bound,
-        copies=copies,
-    )
+    inputs = BoundInputs(epsilon, energy_arg, t_star, entropy_bound, copies)
     return t_star, bound_fn(inputs, use_log_shift)

@@ -43,12 +43,7 @@ from .info import (
     holevo_quantity,
     mutual_information,
 )
-from .operators import (
-    Channel,
-    DensityOperator,
-    HermitianPreservingMap,
-    InfeasibleProblemError,
-)
+from .operators import HermitianPreservingMap, InfeasibleProblemError
 from .serialize import (
     channel_from_json,
     channel_to_json,
@@ -60,7 +55,7 @@ from .serialize import (
     load_json,
     matrix_to_json,
 )
-from .thermo import HarmonicModes, max_entropy, oscillator_entropy_bound, solve_gibbs
+from .thermo import HarmonicModes, max_entropy, solve_gibbs
 from .zoo import (
     TruncatedOscillator,
     attenuator,
@@ -178,7 +173,7 @@ def _cmd_ecd_norm(args):
 def _cmd_diamond(args):
     the_map = _load_map(args)
     est = estimate_diamond_norm(the_map, r_dim=args.r_dim, **_seeded(args))
-    return _document(args, _bracket_result(est), r_dim=args.r_dim or the_map.in_dim)
+    return _document(args, _bracket_result(est), r_dim=est.witness.size // the_map.in_dim)
 
 
 def _cmd_qn(args):

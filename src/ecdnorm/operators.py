@@ -21,6 +21,8 @@ TRACE_TOL = 1e-10
 STATE_EIG_FLOOR = -1e-9
 TP_TOL = 1e-8
 SV_CLAMP = 1e-14
+# levels within this of the ground energy count as ground levels
+DEGENERACY_GAP = 1e-9
 
 
 class InfeasibleProblemError(ValueError):
@@ -197,8 +199,8 @@ class Hamiltonian:
         u = self._eigenbasis
         return _frozen((u * self._eigenvalues) @ u.conj().T)
 
-    def ground_multiplicity(self, gap: float = 1e-9) -> int:
-        return int(np.count_nonzero(self._eigenvalues <= self._eigenvalues[0] + gap))
+    def ground_multiplicity(self) -> int:
+        return int(np.count_nonzero(self._eigenvalues <= self._eigenvalues[0] + DEGENERACY_GAP))
 
     def lowest_levels(self, n: int) -> np.ndarray:
         """Isometry onto the span of the n lowest-energy eigenvectors."""

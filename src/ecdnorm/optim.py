@@ -15,7 +15,7 @@ state as well; the capped proposal, the dual certificates of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .operators import Hamiltonian, InfeasibleProblemError
 
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 MAX_ITER = 2000
+GOLDEN_MAX_ITER = 200
 DUAL_FLOOR = 1e-4  # weight of I/d mixed into the input state of a dual bound
 STALL_WINDOW = 20
 STALL_REL_TOL = 1e-8
@@ -48,12 +49,13 @@ def check_energy_budget(hamiltonian: Hamiltonian, budget: float) -> None:
 
 
 def golden_section_min(
-    f: Callable[[float], float], a: float, b: float, tol: float, max_iter: int = 200
+    f: Callable[[float], float], a: float, b: float, tol: float
 ) -> tuple[float, float]:
     """Minimize a unimodal scalar function on [a, b].
 
     Returns the best evaluated point, which is at least as good as both
-    endpoints. tol is the absolute interval width at which to stop.
+    endpoints. tol is the absolute interval width at which to stop, after
+    GOLDEN_MAX_ITER steps at most.
     """
     xs = [a, b]
     fs = [f(a), f(b)]
@@ -62,7 +64,7 @@ def golden_section_min(
     fc, fd = f(c), f(d)
     xs += [c, d]
     fs += [fc, fd]
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if b - a <= tol:
             break
         if fc < fd:
@@ -298,17 +300,18 @@ def _kraus_eigh(kraus_pair):
 LANCZOS_STEPS = 24
 
 
-def _lanczos_top(matvec, start: np.ndarray, iters: int) -> np.ndarray | None:
+def _lanczos_top(matvec, start: np.ndarray) -> np.ndarray | None:
     """Top Ritz vector of a Hermitian operator given by matvec: the uncapped
     ascent's proposal.
 
-    The Krylov space is grown from `start` with full reorthogonalization
-    (fine at the dimensions used here), so it contains `start` and the Ritz
-    value is at least start's Rayleigh quotient. Returns None when the space
-    degenerates immediately (start already invariant).
+    The Krylov space, of at most LANCZOS_STEPS vectors, is grown from `start`
+    with full reorthogonalization (fine at the dimensions used here), so it
+    contains `start` and the Ritz value is at least start's Rayleigh
+    quotient. Returns None when the space degenerates immediately (start
+    already invariant).
     """
     dim = start.size
-    iters = min(iters, dim)
+    iters = min(LANCZOS_STEPS, dim)
     basis = np.empty((iters, dim), dtype=np.complex128)
     basis[0] = start / np.linalg.norm(start)
     alphas: list[float] = []
@@ -508,26 +511,26 @@ def _capped_proposal(objective, cap, mu_hint: float):
 def ascend(
     objective,
     start: np.ndarray,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
+    project: EnergyCap | None = None,
     max_iter: int = MAX_ITER,
 ) -> tuple[float, np.ndarray]:
     """Monotone ascent on the unit sphere with one proposal kind per problem.
 
     An `EnergyCap` at psi.size <= CAP_PROPOSAL_MAX_DIM takes `_capped_proposal`
-    (the exact maximizer of the linearization under the cap), no projection
-    takes the Lanczos Ritz vector of the linearization, and any other
-    projection takes a projected gradient step whose length halves until it
-    improves. Candidates are screened once with the linearized value, which
-    lower-bounds the true objective, so every accepted step improves and
-    costs one eigendecomposition of the output. Stops at the first candidate
-    that does not improve (for the gradient step, once its length is below
-    1e-13), when the gain over STALL_WINDOW iterations is below STALL_REL_TOL
-    relative, or at max_iter.
+    (the exact maximizer of the linearization under the cap), a larger cap
+    takes a projected gradient step whose length halves until it improves,
+    and no cap takes the Lanczos Ritz vector of the linearization. Candidates
+    are screened once with the linearized value, which lower-bounds the true
+    objective, so every accepted step improves and costs one
+    eigendecomposition of the output. Stops at the first candidate that does
+    not improve (for the gradient step, once its length is below 1e-13), when
+    the gain over STALL_WINDOW iterations is below STALL_REL_TOL relative, or
+    at max_iter.
     """
     psi = normalize(np.asarray(start, dtype=np.complex128).reshape(-1))
     if project is not None:
         psi = project(psi)
-    dense_cap = isinstance(project, EnergyCap) and psi.size <= CAP_PROPOSAL_MAX_DIM
+    dense_cap = project is not None and psi.size <= CAP_PROPOSAL_MAX_DIM
     mu_hint = 0.0
     f, grad = objective.value_and_grad(psi)
     alpha = 0.25
@@ -549,7 +552,7 @@ def ascend(
             if dense_cap:
                 cand, mu_hint = _capped_proposal(objective, project, mu_hint)
             else:
-                cand = _lanczos_top(objective.apply_sign, psi, LANCZOS_STEPS)
+                cand = _lanczos_top(objective.apply_sign, psi)
             if cand is None or objective.sign_value(cand) <= f:
                 break
         psi = cand
@@ -594,7 +597,7 @@ def multistart_ascend(
     r_dim: int,
     restarts: int,
     seed: int,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
+    project: EnergyCap | None = None,
     extra_starts: Iterable[np.ndarray] | None = None,
     max_iter: int = MAX_ITER,
 ) -> tuple[float, np.ndarray]:

@@ -15,10 +15,9 @@ from functools import reduce
 
 import numpy as np
 
-from .operators import DensityOperator, Hamiltonian, InfeasibleProblemError
+from .operators import DEGENERACY_GAP, DensityOperator, Hamiltonian, InfeasibleProblemError
 
 ENERGY_TOL = 1e-9
-DEGENERACY_GAP = 1e-9
 
 
 def _eta(x: float) -> float:

@@ -17,6 +17,15 @@ def haar_vector(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def random_spectrum(rng, dim, ground_hi):
+    """Nondecreasing levels: dim sorted draws from [0, 3), the lowest replaced
+    by a draw from [0, ground_hi) and sorted again, so every draw gives a
+    valid spectrum."""
+    ev = np.sort(rng.uniform(0.0, 3.0, size=dim))
+    ev[0] = rng.uniform(0.0, ground_hi)
+    return np.sort(ev)
+
+
 def ginibre_density(rng, dim, rank=None):
     rank = dim if rank is None else rank
     z = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))

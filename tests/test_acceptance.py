@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 
-from conftest import ecd_bruteforce, ginibre_density, random_channel, simplex_max_entropy
+from conftest import (
+    ecd_bruteforce,
+    ginibre_density,
+    random_channel,
+    random_spectrum,
+    simplex_max_entropy,
+)
 from ecdnorm import (
     BoundInputs,
     DensityOperator,
@@ -61,8 +67,7 @@ def test_criterion_1_estimator_matches_bruteforce_oracle():
         rng = np.random.default_rng([11, trial])
         phi = random_channel(rng, d, d, 2)
         psi = random_channel(rng, d, d, 2)
-        ev = np.sort(rng.uniform(0.0, 3.0, size=d))
-        ev[0] = rng.uniform(0.0, 0.3)
+        ev = random_spectrum(rng, d, 0.3)
         budget = ev[0] + rng.uniform(0.2, 0.8) * (ev.mean() - ev[0])
         problem = EcdProblem(
             HermitianPreservingMap.difference(phi, psi),

@@ -2,6 +2,7 @@
 six bound kinds, and the t optimization."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from ecdnorm import (
     BOUND_KINDS,
     BoundInputs,
+    BoundValue,
     Hamiltonian,
     HarmonicModes,
     OscillatorEntropyBound,
@@ -23,6 +25,7 @@ from ecdnorm import (
     shifted_entropy_bound,
     smoothing_factor,
 )
+from ecdnorm import bounds
 from ecdnorm.bounds import GRID_POINTS, BoundKind, t_grid
 
 OSC = OscillatorEntropyBound(HarmonicModes((1.0,)))
@@ -211,6 +214,53 @@ def test_copies_only_for_the_scaling_kind():
                 bound(inputs)
     with pytest.raises(ValueError, match="copies"):
         optimize_t("chi", 0.1, 1.0, OSC, copies=5)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"epsilon": e}, id=f"epsilon={e}")
+        for e in (0.0, -0.1, 1.5, math.nan, math.inf, -math.inf)
+    ]
+    + [
+        pytest.param({"energy_arg": x}, id=f"energy_arg={x}")
+        for x in (0.0, -1.0, math.nan, math.inf, -math.inf)
+    ]
+    + [
+        pytest.param({"copies": 2}, id="copies=2-chi"),
+        pytest.param({"kind": "qmi", "copies": 0}, id="copies=0-qmi"),
+        pytest.param({"entropy_bound": SHIFTED, "use_log_shift": True}, id="log-shift-shifted"),
+    ],
+)
+def test_optimize_t_rejects_bad_inputs(change):
+    args = {"kind": "chi", "epsilon": 0.1, "energy_arg": 1.0, "entropy_bound": OSC}
+    optimize_t(**args)
+    args.update(change)
+    with pytest.raises(ValueError):
+        optimize_t(**args)
+
+
+def _counted(cls, made):
+    class Counted(cls):
+        def __init__(self, *args, **kwargs):
+            made[cls.__name__] += 1
+            super().__init__(*args, **kwargs)
+
+    return Counted
+
+
+def test_optimize_t_checks_its_inputs_once(monkeypatch):
+    """Two BoundInputs check the ends of the grid and one the result: the
+    rescoring and golden-section steps build neither inputs nor values."""
+    made = Counter()
+    for cls in (BoundInputs, BoundValue):
+        monkeypatch.setattr(bounds, cls.__name__, _counted(cls, made))
+    for name in BOUND_KINDS:
+        for eb, log_shift in ENTROPY_FORMS:
+            made.clear()
+            t_star, val = optimize_t(name, 0.05, 2.0, eb, use_log_shift=log_shift)
+            assert made == {"BoundInputs": 3, "BoundValue": 1}
+            assert val.t_used == t_star
 
 
 def _scalar_grid_optimize_t(

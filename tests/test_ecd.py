@@ -12,6 +12,8 @@ from conftest import (
     ginibre_density,
     haar_vector,
     random_channel,
+    random_spectrum,
+    svd_trace_norm,
 )
 from ecdnorm import (
     BoundInputs,
@@ -28,6 +30,7 @@ from ecdnorm import (
     attenuator,
     diamond_upper_bound,
     ecd_objective,
+    energy,
     energy_constrained_sup,
     estimate_diamond_norm,
     estimate_ecd_norm,
@@ -51,8 +54,7 @@ def _random_difference(rng, d, n_kraus=2):
 
 def _random_problem(rng, d, r_dim, n_kraus=2):
     the_map, phi, psi = _random_difference(rng, d, n_kraus)
-    ev = np.sort(rng.uniform(0.0, 3.0, size=d))
-    ev[0] = rng.uniform(0.0, 0.3)
+    ev = random_spectrum(rng, d, 0.3)
     h = Hamiltonian(ev)
     budget = ev[0] + rng.uniform(0.2, 0.8) * (ev.mean() - ev[0])
     return EcdProblem(the_map, h, budget, r_dim=r_dim), phi, psi
@@ -368,6 +370,39 @@ def test_estimates_bracket_and_witness_feasible():
         assert est.witness_energy <= problem.energy + 1e-9
         assert abs(np.linalg.norm(est.witness) - 1.0) < 1e-9
         assert abs(ecd_objective(problem, est.witness) - est.lower) < 1e-9
+
+
+@pytest.mark.parametrize("r_dim", [1, 2, 3])
+def test_brackets_under_a_complex_eigenbasis(r_dim):
+    """H = U diag(ev) U† with U a random complex unitary, so H differs from Hᵀ.
+
+    The witness ψ = vec(M) has input state ρ = M M†, and the cap is on
+    Tr[Hρ], not on Tr[Hᵀρ]; the lower value is the trace norm of the
+    witness's output, built from the Kraus operators and summed by an SVD.
+    """
+    rng = np.random.default_rng([57, r_dim])
+    d = 3
+    transposed_gaps = []
+    for _ in range(3):
+        the_map, phi, psi = _random_difference(rng, d)
+        ev = random_spectrum(rng, d, 0.3)
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = Hamiltonian(ev, np.linalg.qr(z)[0])
+        budget = ev[0] + rng.uniform(0.2, 0.8) * (ev.mean() - ev[0])
+        problem = EcdProblem(the_map, h, budget, r_dim=r_dim)
+        est = estimate_ecd_norm(problem, restarts=4, max_iter=250)
+        m = est.witness.reshape(d, r_dim)
+        rho = m @ m.conj().T
+        assert energy(rho, h) <= budget + 1e-9
+        assert abs(est.witness_energy - energy(rho, h)) <= 1e-12
+        transposed_gaps.append(abs(float(np.trace(h.matrix.T @ rho).real) - energy(rho, h)))
+        out = sum(np.outer(k @ m, (k @ m).conj()) for k in phi.kraus) - sum(
+            np.outer(k @ m, (k @ m).conj()) for k in psi.kraus
+        )
+        assert abs(svd_trace_norm(out) - est.lower) <= 1e-9 * max(1.0, est.lower)
+        assert est.lower <= est.upper
+    # the cases tell H from Hᵀ: a cap on Tr[Hᵀρ] would not pass the first assertion
+    assert max(transposed_gaps) > 1e-2
 
 
 def test_diamond_upper_bound_dominates_lower_estimate():

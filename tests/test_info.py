@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ginibre_density, haar_vector, kraus_apply, loop_partial_trace, random_channel
+from conftest import (
+    ginibre_density,
+    haar_vector,
+    kraus_apply,
+    loop_partial_trace,
+    random_channel,
+    random_spectrum,
+)
 from ecdnorm import (
     Channel,
     DensityOperator,
@@ -216,8 +223,7 @@ def test_output_energy_sup_dominates_primal_samples():
 def _projection_cases():
     rng = np.random.default_rng(74)
     for d, size in [(3, 2), (4, 4), (5, 3), (6, 8)]:
-        ev = np.sort(rng.uniform(0.0, 3.0, size=d))
-        ev[0] = rng.uniform(0.0, 0.2)
+        ev = random_spectrum(rng, d, 0.2)
         z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = Hamiltonian(ev, np.linalg.qr(z)[0])
         tau0 = h.eigenbasis[:, 0]

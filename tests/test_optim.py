@@ -15,6 +15,7 @@ from conftest import (
     kraus_sign_surrogate,
     loop_partial_trace,
     random_channel,
+    random_spectrum,
 )
 from ecdnorm import (
     Channel,
@@ -57,8 +58,7 @@ def test_normalize_rejects_zero():
 
 
 def _random_cap(rng, d, r_dim):
-    ev = np.sort(rng.uniform(0.0, 3.0, size=d))
-    ev[0] = rng.uniform(0.0, 0.2)
+    ev = random_spectrum(rng, d, 0.2)
     h = Hamiltonian(ev)
     budget = ev[0] + rng.uniform(0.2, 0.8) * (ev.mean() - ev[0])
     return EnergyCap(h, r_dim, budget), h, budget

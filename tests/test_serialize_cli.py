@@ -179,6 +179,10 @@ def test_cli_gibbs_infeasible_is_exit_3(workdir):
 def test_cli_validation_is_exit_2(workdir):
     res = run_cli("bound", "chi", "--eps", "1.5", "--energy", "1.0", "--fhat", "osc:1")
     assert res.returncode == 2
+    # ε = 0 reaches the t grid first; it is a validation error, not a crash
+    for argv in (("optimize-t",), ("bound", "--sweep", "5")):
+        res = run_cli(*argv[:1], "chi", "--eps", "0", "--energy", "1", "--fhat", "osc:1", *argv[1:])
+        assert res.returncode == 2 and "epsilon" in res.stderr
     res = run_cli(
         "ecd-norm",
         "--phi", str(workdir / "broken.json"),
