@@ -52,10 +52,10 @@ from .thermo import (
 
 def smoothing_factor(epsilon: float, t: float) -> float:
     """(1 + t/2) / (1 - εt); finite for εt < 1, tends to 1 as t -> 0."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite positive number, got {epsilon}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be a finite positive number, got {t}")
     if epsilon * t >= 1.0:
         raise ValueError(f"need εt < 1, got εt = {epsilon * t}")
     return (1.0 + 0.5 * t) / (1.0 - epsilon * t)

@@ -14,6 +14,7 @@ state as well; the capped proposal, the dual certificates of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -194,7 +195,7 @@ class TraceNormObjective:
         self._f3_adj = np.ascontiguousarray(self._f3.conj().transpose(0, 2, 1))
         # adjoint applied to the identity, for the identity part of sign matrices
         self._adj_id = np.ascontiguousarray(np.einsum("aiaj->ij", self._c4).T)
-        self._neg = self._neg_h = None
+        self._neg = self._neg_h = self._g_choi = self._g_id = None
 
     def _factor(self, psi: np.ndarray) -> np.ndarray:
         """Y with X(psi) = Y diag(sigma) Y†, shape (out*r, rank)."""
@@ -238,16 +239,19 @@ class TraceNormObjective:
     def surrogate_matrix(self) -> np.ndarray:
         """Dense Hermitian G with ⟨ψ|G|ψ⟩ = sign_value(ψ), Gψ = apply_sign(ψ).
 
-        S − I = −2PP† is built from the factor (the capped proposal calls
-        this only at psi.size <= 64) and contracted once with the Choi
-        tensor; the identity part enters as the adjoint at I ⊗ I_R.
+        G[(j,s),(i,r)] = Σ_{x,y} (S − I)[(y,s),(x,r)]·C[(x,i),(y,j)] + (adjoint at
+        I ⊗ I_R). The Choi tensor as a (y,x) × (j,i) matrix times the −2 of
+        S − I = −2PP† and the identity part are built on the first call (the
+        capped proposal's, at psi.size <= 64) and kept; each call then costs
+        PP†, one GEMM over (y,x) and a Hermitian symmetrization.
         """
-        dim = self.in_dim * self.r_dim
-        s4 = (-2.0 * self._neg @ self._neg_h).reshape(
-            self.out_dim, self.r_dim, self.out_dim, self.r_dim
-        )
-        g = np.tensordot(s4, self._c4, axes=([0, 2], [2, 0]))  # ysxr,xiyj -> srij
-        g = g.transpose(3, 0, 2, 1).reshape(dim, dim) + np.kron(self._adj_id, np.eye(self.r_dim))
+        o, i, r = self.out_dim, self.in_dim, self.r_dim
+        if self._g_choi is None:
+            self._g_choi = -2.0 * self._c4.transpose(2, 0, 3, 1).reshape(o * o, i * i)
+            self._g_id = np.kron(self._adj_id, np.eye(r))
+        pp = (self._neg @ self._neg_h).reshape(o, r, o, r).transpose(1, 3, 0, 2)
+        g = (pp.reshape(r * r, o * o) @ self._g_choi).reshape(r, r, i, i)  # sryx,yxji -> srji
+        g = g.transpose(2, 0, 3, 1).reshape(i * r, i * r) + self._g_id
         return 0.5 * (g + g.conj().T)
 
     def sign_value(self, psi: np.ndarray) -> float:
@@ -342,24 +346,27 @@ DUAL_MAX_EVALS = 200
 
 
 class _DualPoint:
-    """φ(μ) = λmax(G − μK) + μE with its derivatives, from one eigh."""
+    """φ(μ) = λmax(G − μK) + μE with its derivatives, from one eigh of G − μK;
+    both derivatives read c = (Kv)†V, v the top of its eigenvectors V."""
+
+    __slots__ = ("mu", "top", "phi", "slope", "curv")
 
     def __init__(self, g: np.ndarray, k: np.ndarray, budget: float, mu: float):
         self.mu = mu
         w, v = np.linalg.eigh(g - mu * k)
         self.top = v[:, -1]
-        k_top = k @ self.top
-        self.phi = float(w[-1]) + mu * budget
+        c = (k @ self.top).conj() @ v  # c_j = conj ⟨v_j|K|v⟩, the top last
+        lam = float(w[-1])
+        self.phi = lam + mu * budget
         # Danskin: φ'(μ) = E − ⟨v|K|v⟩, the budget minus the top vector's energy
-        self.slope = budget - float(np.vdot(self.top, k_top).real)
+        self.slope = budget - float(c[-1].real)
         # second-order perturbation: λmax'' = 2 Σ_j |⟨v_j|K|v⟩|² / (λmax − λ_j);
         # meaningless at a (numerically) degenerate top, where φ has a kink
-        gaps = w[-1] - w[:-1]
-        if gaps.size and gaps[-1] <= 1e-12 * max(1.0, float(np.abs(w).max())):
+        if w.size > 1 and lam - float(w[-2]) <= 1e-12 * max(1.0, -float(w[0]), lam):
             self.curv = np.inf
         else:
-            coupling = np.abs(v[:, :-1].conj().T @ k_top) ** 2
-            self.curv = 2.0 * float(np.sum(coupling / gaps))
+            c = c[:-1]
+            self.curv = 2.0 * float(((c.real * c.real + c.imag * c.imag) / (lam - w[:-1])).sum())
 
     def newton(self) -> float:
         """Newton step length |φ'/φ''|, infinite where φ'' gives no step."""
@@ -454,49 +461,52 @@ def _best_in_span(a: np.ndarray, b: np.ndarray, g: np.ndarray, k: np.ndarray, bu
     On two levels both forms are affine in the Bloch vector n, so this is a
     linear function over a cap of the unit sphere: the free maximizer when it
     is feasible, else the best point on the circle where the budget is met
-    exactly (the lowest-energy vector if rounding leaves the cap empty).
+    exactly (the lowest-energy vector if rounding leaves the cap empty). The
+    basis is a/|a| and b orthogonalized twice against it or, when the second
+    pass halves b (b ∥ a to rounding), the basis vector least aligned with a.
     """
-    q = np.linalg.qr(np.column_stack([a, b]))[0]
+    e = a / math.sqrt(np.vdot(a, a).real)
+    f = b - e * np.vdot(e, b)
+    first = np.vdot(f, f).real
+    f -= e * np.vdot(e, f)
+    if not np.vdot(f, f).real > 0.25 * first:
+        f = np.eye(e.size, dtype=e.dtype)[np.argmin(np.abs(e))]
+        f -= e * np.vdot(e, f)
+    q = np.array([e, f / math.sqrt(np.vdot(f, f).real)])
 
     def bloch(m):
-        m2 = q.conj().T @ m @ q
-        x = m2[0, 1]
-        return 0.5 * float((m2[0, 0] + m2[1, 1]).real), np.array(
-            [x.real, -x.imag, 0.5 * float((m2[0, 0] - m2[1, 1]).real)]
-        )
+        (m00, m01), (_, m11) = (q.conj() @ m @ q.T).tolist()
+        return 0.5 * (m00 + m11).real, (m01.real, -m01.imag, 0.5 * (m00 - m11).real)
 
-    _, gv = bloch(g)
-    k0, kv = bloch(k)
-    room = budget - k0
-    kn = float(np.linalg.norm(kv))
-    gn = float(np.linalg.norm(gv))
-    n = gv / gn if gn > 0.0 else -kv / max(kn, np.finfo(float).tiny)
-    if kv @ n > room and kn > 0.0:
-        khat = kv / kn
-        perp = gv - (gv @ khat) * khat
-        if np.linalg.norm(perp) <= 1e-12 * max(gn, 1e-300):
+    gv, (k0, kv) = bloch(g)[1], bloch(k)
+    room, kn, gn = budget - k0, math.hypot(*kv), math.hypot(*gv)
+    n = [c / gn for c in gv] if gn > 0.0 else [-c / max(kn, np.finfo(float).tiny) for c in kv]
+    if sum(x * y for x, y in zip(kv, n)) > room and kn > 0.0:
+        khat = [c / kn for c in kv]
+        t = sum(x * y for x, y in zip(gv, khat))
+        perp = [c - t * h for c, h in zip(gv, khat)]
+        if math.hypot(*perp) <= 1e-12 * max(gn, 1e-300):
             # G favors pure energy (what is left of gv is rounding noise):
             # any direction on the circle is optimal
-            perp = np.eye(3)[int(np.argmin(np.abs(khat)))]
+            perp = np.eye(3)[np.argmin(np.abs(khat))].tolist()
         # (again) orthogonal to k̂, so that n lands on the circle
-        perp = perp - (perp @ khat) * khat
-        pn = float(np.linalg.norm(perp))
+        t = sum(x * y for x, y in zip(perp, khat))
+        perp = [c - t * h for c, h in zip(perp, khat)]
         cos = min(max(room / kn, -1.0), 1.0)
-        n = cos * khat + np.sqrt(max(1.0 - cos * cos, 0.0)) * perp / pn
+        sin = math.sqrt(max(1.0 - cos * cos, 0.0)) / math.hypot(*perp)
+        n = [cos * h + sin * p for h, p in zip(khat, perp)]
     if n[2] >= 0.0:
-        x0 = np.sqrt(0.5 * (1.0 + n[2]))
-        coeffs = np.array([x0, complex(n[0], n[1]) / (2.0 * x0)])
-    else:
-        x1 = np.sqrt(0.5 * (1.0 - n[2]))
-        coeffs = np.array([complex(n[0], -n[1]) / (2.0 * x1), x1])
-    return normalize(q @ coeffs)
+        x0 = math.sqrt(0.5 * (1.0 + n[2]))
+        return normalize(x0 * q[0] + complex(n[0], n[1]) / (2.0 * x0) * q[1])
+    x1 = math.sqrt(0.5 * (1.0 - n[2]))
+    return normalize(complex(n[0], -n[1]) / (2.0 * x1) * q[0] + x1 * q[1])
 
 
 def _capped_proposal(objective, cap, mu_hint: float):
     """Exact maximizer of the current sign surrogate under the energy cap.
 
     The surrogate is a Hermitian quadratic form ψ ↦ ⟨ψ|G|ψ⟩, with G built by
-    one contraction (`surrogate_matrix`), so its maximum over unit vectors
+    one GEMM (`surrogate_matrix`), so its maximum over unit vectors
     with ⟨ψ|(H⊗I)|ψ⟩ ≤ E is the one-dimensional dual
     min_{μ≥0} λmax(G − μH⊗I) + μE, solved by `_energy_dual` from the warm
     start mu_hint, which also returns the feasible maximizer. It attains the

@@ -49,6 +49,16 @@ def test_smoothing_factor_values():
         smoothing_factor(0.1, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_smoothing_factor_rejects_non_finite(bad):
+    """A nan passes every ordered comparison as False, and ±inf is no
+    smoothing parameter: each is rejected for ε and for t, as `BoundInputs`
+    rejects them."""
+    for eps, t in ((bad, 1.0), (0.1, bad), (bad, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            smoothing_factor(eps, t)
+
+
 def test_entropy_bound_wrappers():
     modes = HarmonicModes((1.0, 3.0))
     osc = OscillatorEntropyBound(modes)

@@ -359,6 +359,33 @@ def test_capped_proposal_is_feasible_and_improving():
         assert obj.sign_value(cand) >= f - 1e-9
 
 
+@pytest.mark.parametrize("case", ["random-3x4x2", "pair8"])
+def test_surrogate_matrix_follows_each_expansion(case):
+    """`surrogate_matrix` keeps the parts of G that depend only on the map;
+    after each of several expansions of one objective at distinct points, G
+    equals the matrix built column by column from `apply_sign` there. A kept
+    part that depended on the expansion point would fail from the second
+    point on. The random map has out ≠ in, so a transposed layout fails too;
+    the 0.70/0.69 attenuator pair at 8 levels takes the Kraus-route factor."""
+    rng = np.random.default_rng(393)
+    if case == "pair8":
+        diff = HermitianPreservingMap.difference(attenuator(8, 0.70), attenuator(8, 0.69))
+        obj = TraceNormObjective(diff.choi, 8, 8, 8, diff.kraus_pair)
+    else:
+        obj, _, _, _ = _difference_objective(rng, 3, 4, 2)
+    dim = obj.in_dim * obj.r_dim
+    assert dim <= CAP_PROPOSAL_MAX_DIM
+    previous = None
+    for _ in range(3):
+        obj.value_and_grad(haar_vector(rng, dim))
+        g = obj.surrogate_matrix()
+        columns = np.column_stack([obj.apply_sign(e) for e in np.eye(dim, dtype=np.complex128)])
+        np.testing.assert_allclose(g, columns, rtol=0.0, atol=1e-12)
+        if previous is not None:
+            assert np.abs(g - previous).max() > 1e-6  # the expansions differ
+        previous = g
+
+
 def test_capped_proposal_eigensolve_count(monkeypatch):
     calls = 0
 
@@ -531,6 +558,37 @@ def test_best_in_span_matches_a_scan_of_the_span():
             assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
             assert np.vdot(x, k @ x).real <= budget + 1e-12
             assert np.vdot(x, g @ x).real >= values[feasible].max() - 1e-12
+
+
+@pytest.mark.parametrize("kind", ["phase", "noise"])
+def test_best_in_span_on_a_degenerate_span(kind):
+    """b = e^{iθ}a, or a with 1e-17 of noise (which rounding mostly absorbs):
+    the span is one-dimensional, and the basis must still be an orthonormal
+    pair. The result is a unit vector; when a is within the budget, so is
+    the result, and it scores at least ⟨a|G|a⟩."""
+    rng = np.random.default_rng(41)
+    feasible_cases = 0
+    for d in (2, 4, 8, 16, 64):
+        for _ in range(8):
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            g = 0.5 * (z + z.conj().T)
+            u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            k = (u * rng.uniform(0.0, 3.0, d)) @ u.conj().T
+            a = haar_vector(rng, d)
+            if kind == "phase":
+                b = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * a
+            else:
+                b = a + 1e-17 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+            energy = np.vdot(a, k @ a).real
+            budget = energy + rng.uniform(-0.5, 0.5)
+            x = _best_in_span(a, b, g, k, budget)
+            assert np.all(np.isfinite(x))
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+            if energy <= budget:
+                feasible_cases += 1
+                assert np.vdot(x, k @ x).real <= budget + 1e-12
+                assert np.vdot(x, g @ x).real >= np.vdot(a, g @ a).real - 1e-12
+    assert feasible_cases >= 10
 
 
 def test_start_vectors_structure():

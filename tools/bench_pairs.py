@@ -8,9 +8,20 @@ For each workload it runs `perfbench/run.py` (untraced, seed SEED, for the
 PAIRS times, the parent first in even pairs and the change first in odd
 ones, and keeps every run's metrics and their medians. It also records how
 far the lower and upper value of every bracket task (capped-families,
-lanczos-zoo) moved between the checkouts, and the time to build the
-trace-norm objective of the 0.70/0.69 attenuator pair at 8, 16 and 24
-levels. Every measurement runs in a fresh process with one BLAS thread.
+lanczos-zoo) moved between the checkouts, the time to build the trace-norm
+objective of the 0.70/0.69 attenuator pair at 8, 16 and 24 levels, and the
+per-call time of one capped proposal (`optim._capped_proposal`) on that pair
+at 8 levels (r = 8) and on a random d = 4, r = 2 difference, after a first
+call that builds what the objective keeps. Every measurement runs in a fresh
+process with one BLAS thread.
+
+For each end-to-end metric of BENCHMARK.json and each workload, `verdicts`
+records both sides' quartiles, the pairs the change wins (ties count for
+neither), the median gap in the metric's better direction, the parent's
+interquartile range, `gain` (at least nine tenths of the pairs won and a
+median gap wider than that range: the rule a claimed gain must meet) and
+`within_bound` (the change's median is no worse than the parent's by more
+than the metric's bound, relative).
 """
 
 import argparse
@@ -28,7 +39,8 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 601
 # ten pairs: a gain is claimed only if it wins at least nine of them
 PAIRS = 10
-SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+SECONDS = BENCHMARK["run_seconds"]
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 BRACKETS = """
@@ -65,6 +77,41 @@ for d in (8, 16, 24):
 print(json.dumps(out))
 """
 
+CAPPED = """
+import json, statistics, sys, time
+import numpy as np
+sys.path.insert(0, "src")
+from ecdnorm import Channel, EnergyCap, Hamiltonian, HermitianPreservingMap, attenuator, ecd, optim
+
+
+def random_channel(rng, d):
+    z = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
+    q = np.linalg.qr(z)[0]
+    return Channel([q[:d], q[d:]])
+
+
+rng = np.random.default_rng(15)
+problems = {  # name: (map, r, energy budget on the levels 0.5, 1.5, ...)
+    "pair8": (HermitianPreservingMap.difference(attenuator(8, 0.70), attenuator(8, 0.69)), 8, 2.0),
+    "random-d4r2": (HermitianPreservingMap.difference(random_channel(rng, 4), random_channel(rng, 4)), 2, 1.0),
+}
+out = {}
+for name, (m, r, energy) in problems.items():
+    d = m.in_dim
+    obj = ecd._objective(m, r)
+    cap = EnergyCap(Hamiltonian(np.arange(d) + 0.5), r, energy)
+    obj.value_and_grad(cap(optim.start_vectors(d, r, 2, 0)[1]))
+    optim._capped_proposal(obj, cap, 0.0)
+    times = []
+    for _ in range(9):
+        start = time.perf_counter()
+        for _ in range(20):
+            optim._capped_proposal(obj, cap, 0.0)
+        times.append((time.perf_counter() - start) / 20)
+    out[name] = statistics.median(times)
+print(json.dumps(out))
+"""
+
 
 def _last_json(cmd, cwd) -> dict:
     proc = subprocess.run(cmd, cwd=cwd, env=ENV, capture_output=True, text=True, check=True)
@@ -83,6 +130,29 @@ def medians(runs) -> dict:
     """Median of each metric; every run's correctness and the total failed."""
     out = {k: statistics.median(r[k] for r in runs) for k in runs[0] if k not in ("correct", "failed")}
     return {**out, "all_correct": all(r["correct"] for r in runs), "failed": sum(r["failed"] for r in runs)}
+
+
+def verdicts(runs) -> dict:
+    """Quartiles, wins and the gain rule per end-to-end metric (module docstring)."""
+    out = {}
+    for spec in BENCHMARK["end_to_end"]:
+        name, sign = spec["name"], 1.0 if spec["better"] == "higher" else -1.0
+        quartiles = {
+            side: statistics.quantiles([r[name] for r in rs], n=4, method="inclusive")
+            for side, rs in runs.items()
+        }
+        wins = sum(sign * (c[name] - p[name]) > 0.0 for p, c in zip(runs["parent"], runs["change"]))
+        gap = sign * (quartiles["change"][1] - quartiles["parent"][1])
+        iqr = quartiles["parent"][2] - quartiles["parent"][0]
+        out[name] = {
+            "quartiles": quartiles,
+            "wins": wins,
+            "median_gap": gap,
+            "parent_iqr": iqr,
+            "gain": wins >= 0.9 * len(runs["parent"]) and gap > iqr,
+            "within_bound": -gap <= spec["bound"] * abs(quartiles["parent"][1]),
+        }
+    return out
 
 
 def drift(before: dict, after: dict) -> dict:
@@ -115,9 +185,7 @@ def main(argv=None) -> int:
         doc["workloads"][workload] = {
             "median": {side: medians(r) for side, r in runs.items()},
             "runs": runs,
-            "tasks_per_s_wins": sum(
-                c["tasks_per_s"] > p["tasks_per_s"] for p, c in zip(runs["parent"], runs["change"])
-            ),
+            "verdicts": verdicts(runs),
         }
     brackets = {side: _last_json([sys.executable, "-c", BRACKETS], c) for side, c in sides.items()}
     per_task = drift(brackets["parent"], brackets["change"])
@@ -128,6 +196,9 @@ def main(argv=None) -> int:
     }
     doc["constructor_s"] = {
         side: _last_json([sys.executable, "-c", CONSTRUCTOR], c) for side, c in sides.items()
+    }
+    doc["capped_proposal_s"] = {
+        side: _last_json([sys.executable, "-c", CAPPED], c) for side, c in sides.items()
     }
     out = args.change / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
