@@ -27,9 +27,11 @@ matching input energy; k is the energy gain factor of the channels.
 
 The formula is one function, `_terms`, with math or numpy logarithms: a
 kind's call, its array form `terms` and every step of `optimize_t` score t
-through it. Inputs are checked once per public entry, as BoundInputs: the
-t of a call, both ends of a `terms` array, and for `optimize_t` the ends of
-its grid, which enclose every t it scores.
+through it. `optimize_t` takes the grid point of the smallest array total,
+rescores that one point on the scalar path and refines around it. Inputs
+are checked once per public entry, as BoundInputs: the t of a call, both
+ends of a `terms` array, and for `optimize_t` the ends of its grid, which
+enclose every t it scores.
 """
 
 from __future__ import annotations
@@ -262,9 +264,6 @@ ea_capacity_bound_output = BOUND_KINDS["eacap-out"]
 
 GRID_POINTS = 200
 T_FLOOR_SCALE = 1e-8
-# relative slack within which array grid totals are rescored on the scalar
-# path; the array and scalar totals differ by rounding only (about 1e-15)
-NEAR_TIE = 1e-12
 
 
 def t_grid(epsilon: float, points: int) -> np.ndarray:
@@ -293,9 +292,9 @@ def optimize_t(
 
     The grid is scanned in one array pass (`BoundKind.terms`), which checks
     the inputs at both ends of the grid; every later t lies between them, so
-    the scalar steps call `_terms` directly. The points whose array total
-    lies within NEAR_TIE of the smallest are rescored one by one, so the
-    chosen point, and all that follows, is that of a point-by-point scan.
+    the scalar steps call `_terms` directly. The array and scalar totals
+    agree to rounding, so the result is that of a point-by-point scan
+    whenever the grid minimum is unique to rounding.
     """
     bound_fn = BOUND_KINDS[kind] if isinstance(kind, str) else kind
     if not isinstance(bound_fn, BoundKind):
@@ -310,13 +309,8 @@ def optimize_t(
         m, g, h = _terms(epsilon, energy_arg, t, entropy_bound, coefficients, use_log_shift, math)
         return m + g + h
 
-    approx = main + g_terms + h_terms
-    low = approx.min()
-    # `not >` keeps every point when a total is nan, as the scan would see it
-    points = np.flatnonzero(~(approx > low + NEAR_TIE * abs(low)))
-    totals = [total_at(float(grid[j])) for j in points]
-    k = int(np.argmin(totals))
-    i, grid_best = int(points[k]), totals[k]
+    i = int(np.argmin(main + g_terms + h_terms))
+    grid_best = total_at(float(grid[i]))
     a = math.log(grid[max(i - 1, 0)])
     b = math.log(grid[min(i + 1, GRID_POINTS - 1)])
     u, val = golden_section_min(lambda x: total_at(math.exp(x)), a, b, tol=1e-6)

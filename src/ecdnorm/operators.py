@@ -249,9 +249,10 @@ class Channel:
     def out_dim(self) -> int:
         return self._out_dim
 
-    @cached_property
+    @property
     def choi(self) -> np.ndarray:
-        return _frozen(choi_of(self._kraus))
+        """A fresh Choi matrix on each read; a channel keeps only its Kraus operators."""
+        return choi_of(self._kraus)
 
     def apply(self, rho) -> np.ndarray:
         return apply_channel(self, rho)

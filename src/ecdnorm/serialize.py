@@ -50,7 +50,7 @@ def channel_from_json(doc: dict) -> Channel:
 
 def hamiltonian_to_json(h: Hamiltonian) -> dict[str, Any]:
     doc: dict[str, Any] = {"dim": h.dimension, "eigenvalues": [float(x) for x in h.eigenvalues]}
-    if not np.allclose(h.eigenbasis, np.eye(h.dimension)):
+    if not np.array_equal(h.eigenbasis, np.eye(h.dimension)):
         doc["eigenbasis"] = matrix_to_json(h.eigenbasis)
     return doc
 

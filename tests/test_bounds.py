@@ -26,7 +26,7 @@ from ecdnorm import (
     smoothing_factor,
 )
 from ecdnorm import bounds
-from ecdnorm.bounds import GRID_POINTS, BoundKind, t_grid
+from ecdnorm.bounds import GRID_POINTS, t_grid
 
 OSC = OscillatorEntropyBound(HarmonicModes((1.0,)))
 QUBIT = ShiftedGibbsEntropyBound(Hamiltonian([0.0, 1.0]))
@@ -361,13 +361,3 @@ def test_optimize_t_equals_the_scalar_grid_scan():
             crossing += bool(x.min() < saturation < x.max())
     assert crossing >= 6  # the shifted grids run through saturation
 
-
-def test_optimize_t_rescores_near_ties(monkeypatch):
-    # grid totals that tie everywhere leave the whole choice to the scalar rescoring
-    def flat_terms(self, epsilon, energy_arg, t, *args, **kwargs):
-        zeros = np.zeros_like(t)
-        return zeros, zeros, zeros
-
-    want = _scalar_grid_optimize_t(holevo_quantity_bound, 0.05, 2.0, OSC)
-    monkeypatch.setattr(BoundKind, "terms", flat_terms)
-    assert optimize_t("chi", 0.05, 2.0, OSC) == want

@@ -1,6 +1,8 @@
 """Linear-algebra primitives: tensor products, partial traces, trace norms,
 Choi matrices, channels, and Hamiltonians."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from ecdnorm import (
     Hamiltonian,
     HermitianPreservingMap,
     apply_channel,
+    attenuator,
     choi_of,
     dagger,
     energy,
@@ -239,3 +242,18 @@ def test_map_from_channel_and_arithmetic():
     np.testing.assert_allclose(
         total.apply(rho.matrix), -1.5 * m.apply(rho.matrix), atol=1e-11
     )
+
+
+def test_channel_difference_retains_one_choi_matrix():
+    # the channels hold only their Kraus operators, so the difference's own
+    # Choi matrix is all that its construction leaves allocated
+    phi, psi = attenuator(24, 0.70), attenuator(24, 0.69)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        diff = HermitianPreservingMap.difference(phi, psi)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert phi.kraus and psi.kraus  # both channels stay alive
+    assert retained < 1.5 * diff.choi.nbytes

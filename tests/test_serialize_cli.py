@@ -91,6 +91,14 @@ def test_hamiltonian_round_trip():
     with pytest.raises(ValueError):
         hamiltonian_from_json({"dim": 3, "eigenvalues": [0.0, 1.0]})
 
+    # a basis within allclose of the identity is still written out
+    c, s = np.cos(1e-9), np.sin(1e-9)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    hn = Hamiltonian([0.0, 1.0, 2.0], rotation)
+    doc = hamiltonian_to_json(hn)
+    assert "eigenbasis" in doc
+    np.testing.assert_allclose(hamiltonian_from_json(doc).matrix, hn.matrix, atol=0.0)
+
 
 def test_density_and_ensemble_round_trip():
     rng = np.random.default_rng(103)

@@ -3,23 +3,26 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . --label kraus-route
 
-For each workload it runs `perfbench/run.py` (untraced, seed SEED, for the
-`run_seconds` of BENCHMARK.json) in the parent and in the change checkout,
-PAIRS times, the parent first in even pairs and the change first in odd
-ones, and keeps every run's metrics and their medians. It also records how
-far the lower and upper value of every bracket task (capped-families,
-lanczos-zoo) moved between the checkouts, the time to build the trace-norm
-objective of the 0.70/0.69 attenuator pair at 8, 16 and 24 levels, and the
-per-call time of one capped proposal (`optim._capped_proposal`) on that pair
-at 8 levels (r = 8) and on a random d = 4, r = 2 difference, after a first
-call that builds what the objective keeps. Every measurement runs in a fresh
-process with one BLAS thread.
+Each of PAIRS pairs runs, in the parent and in the change checkout, the
+parent first in even pairs and the change first in odd ones:
+`perfbench/run.py` on each workload (untraced, seed SEED, for the
+`run_seconds` of BENCHMARK.json); the time to build the trace-norm objective
+of the 0.70/0.69 attenuator pair at 8, 16 and 24 levels (`constructor_s`);
+and the per-call time of one capped proposal (`optim._capped_proposal`) on
+that pair at 8 levels (r = 8) and on a random d = 4, r = 2 difference, after
+a first call that builds what the objective keeps (`capped_proposal_s`). It
+keeps every run's metrics and their medians, and each timing's runs, median
+and quartiles per side. It also records how far the lower and upper value of
+every bracket task (capped-families, lanczos-zoo) moved between the
+checkouts. Every measurement runs in a fresh process with one BLAS thread.
 
 For each end-to-end metric of BENCHMARK.json and each workload, `verdicts`
 records both sides' quartiles, the pairs the change wins (ties count for
 neither), the median gap in the metric's better direction, the parent's
 interquartile range, `gain` (at least nine tenths of the pairs won and a
-median gap wider than that range: the rule a claimed gain must meet) and
+median gap wider than that range: the rule a claimed gain must meet; where
+that range is 0, as for a deterministic metric, the gap must also exceed
+RESOLUTION of the parent's median, so a move by rounding is no gain) and
 `within_bound` (the change's median is no worse than the parent's by more
 than the metric's bound, relative).
 """
@@ -39,6 +42,8 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 601
 # ten pairs: a gain is claimed only if it wins at least nine of them
 PAIRS = 10
+# relative median gap below which a metric with no parent spread has not moved
+RESOLUTION = 1e-6
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = BENCHMARK["run_seconds"]
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -113,6 +118,9 @@ print(json.dumps(out))
 """
 
 
+TIMINGS = {"constructor_s": CONSTRUCTOR, "capped_proposal_s": CAPPED}
+
+
 def _last_json(cmd, cwd) -> dict:
     proc = subprocess.run(cmd, cwd=cwd, env=ENV, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -144,14 +152,25 @@ def verdicts(runs) -> dict:
         wins = sum(sign * (c[name] - p[name]) > 0.0 for p, c in zip(runs["parent"], runs["change"]))
         gap = sign * (quartiles["change"][1] - quartiles["parent"][1])
         iqr = quartiles["parent"][2] - quartiles["parent"][0]
+        resolved = iqr > 0.0 or gap > RESOLUTION * abs(quartiles["parent"][1])
         out[name] = {
             "quartiles": quartiles,
             "wins": wins,
             "median_gap": gap,
             "parent_iqr": iqr,
-            "gain": wins >= 0.9 * len(runs["parent"]) and gap > iqr,
+            "gain": wins >= 0.9 * len(runs["parent"]) and gap > iqr and resolved,
             "within_bound": -gap <= spec["bound"] * abs(quartiles["parent"][1]),
         }
+    return out
+
+
+def timing_summary(runs) -> dict:
+    """Per case: every run, the median and the quartiles of a timing's runs."""
+    out = {}
+    for case in runs[0]:
+        values = [r[case] for r in runs]
+        quartiles = statistics.quantiles(values, n=4, method="inclusive")
+        out[case] = {"runs": values, "median": quartiles[1], "quartiles": quartiles}
     return out
 
 
@@ -174,14 +193,19 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {"label": args.label, "seed": SEED, "seconds": SECONDS, "pairs": PAIRS,
            "blas_threads": 1, "workloads": {}}
-    for workload in WORKLOADS:
-        runs = {side: [] for side in sides}
-        for i in range(PAIRS):
-            order = list(sides.items())
-            for side, checkout in order if i % 2 == 0 else order[::-1]:
-                runs[side].append(bench_run(checkout, workload))
-                print(f"{workload} pair {i} {side}: {runs[side][-1]['tasks_per_s']:.3f} tasks/s",
-                      file=sys.stderr)
+    workload_runs = {workload: {side: [] for side in sides} for workload in WORKLOADS}
+    timings = {script: {side: [] for side in sides} for script in TIMINGS}
+    for i in range(PAIRS):
+        order = list(sides.items()) if i % 2 == 0 else list(sides.items())[::-1]
+        for workload in WORKLOADS:
+            for side, checkout in order:
+                run = bench_run(checkout, workload)
+                workload_runs[workload][side].append(run)
+                print(f"{workload} pair {i} {side}: {run['tasks_per_s']:.3f} tasks/s", file=sys.stderr)
+        for script, code in TIMINGS.items():
+            for side, checkout in order:
+                timings[script][side].append(_last_json([sys.executable, "-c", code], checkout))
+    for workload, runs in workload_runs.items():
         doc["workloads"][workload] = {
             "median": {side: medians(r) for side, r in runs.items()},
             "runs": runs,
@@ -194,12 +218,8 @@ def main(argv=None) -> int:
         "max_upper_rel": max(d["upper"] for d in per_task.values()),
         "tasks": per_task,
     }
-    doc["constructor_s"] = {
-        side: _last_json([sys.executable, "-c", CONSTRUCTOR], c) for side, c in sides.items()
-    }
-    doc["capped_proposal_s"] = {
-        side: _last_json([sys.executable, "-c", CAPPED], c) for side, c in sides.items()
-    }
+    for script, side_runs in timings.items():
+        doc[script] = {side: timing_summary(r) for side, r in side_runs.items()}
     out = args.change / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(out, file=sys.stderr)
