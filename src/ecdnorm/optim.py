@@ -2,14 +2,18 @@
 
 Monotone ascent on the unit sphere with one proposal kind per problem (the
 capped proposal under a small energy cap, a projected gradient step under a
-larger cap, the Lanczos Ritz vector with no cap), stopped by the first
-proposal that does not improve; deterministic multi-starts; a golden-section
-search; and one solver for maximizing a linear functional over
-energy-bounded states: the one-dimensional dual min_{μ≥0} λmax(G − μK) + μE,
-minimized by safeguarded Newton steps on Danskin's derivative E − ⟨v|K|v⟩
-inside the closed-form bracket [0, μ_max], which returns the maximizing
-state as well; the capped proposal, the dual certificates of
-`TraceNormObjective.dual_bound` and `energy_constrained_sup` all use it.
+larger cap, the Lanczos Ritz vector with no cap, its Krylov space stopped at
+a converged top Ritz pair), stopped by the first proposal that does not
+improve; the trace-norm objective, with the Choi factor F kept as an
+(in, out·rank) matrix and F† as an (out·rank, in) one, so that an output's
+factor and a sign matrix's pull-back are one GEMM each; deterministic
+multi-starts; a golden-section search; and one solver for maximizing a
+linear functional over energy-bounded states: the one-dimensional dual
+min_{μ≥0} λmax(G − μK) + μE, minimized by safeguarded Newton steps on
+Danskin's derivative E − ⟨v|K|v⟩ inside the closed-form bracket [0, μ_max],
+which returns the maximizing state as well; the capped proposal, the dual
+certificates of `TraceNormObjective.dual_bound` and `energy_constrained_sup`
+all use it.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ class EnergyCap:
         return self._h_kron
 
     def _energies(self, blocks: np.ndarray) -> np.ndarray:
-        return np.einsum("kir,ij,kjr->k", blocks.conj(), self._h, blocks).real
+        return np.einsum("kir,kir->k", blocks.conj(), self._h @ blocks).real
 
     def energy(self, psi: np.ndarray) -> float:
         return float(self._energies(psi.reshape(1, self._dim, self._r_dim))[0])
@@ -160,6 +164,10 @@ class TraceNormObjective:
     of rank at most the Choi rank; its spectrum comes from the small
     R diag(σ) R† of a thin QR factorization Y = QR. F comes from a channel
     difference's Kraus pair if given (`_kraus_eigh`), else from `eigh` of C.
+    F is kept as an (in, out·rank) matrix, so Y = MᵀF is one GEMM with rows
+    ordered (r, out), and F† as an (out·rank, in) one, so the pull-back of
+    an action on Y is one GEMM too; `surrogate_matrix` and `dual_bound` read
+    the same two layouts.
 
     `value_and_grad` keeps the sign matrix S of the last output, which makes
     the linearization ψ' -> Tr[S X(ψ')] available through `sign_value` and
@@ -187,21 +195,19 @@ class TraceNormObjective:
         self._sigma = np.where(self._w >= 0.0, 1.0, -1.0)
         # the trace norm of the spectrum F leaves out, for `dual_bound`
         self._dropped = float(np.abs(w[~keep]).sum())
-        # C ≈ F diag(σ) F† with F = V √|w| over the kept eigenpairs, tall-skinny
-        self._f3 = np.ascontiguousarray(
-            (v[:, keep] * np.sqrt(np.abs(self._w))).reshape(out_dim, in_dim, self._rank)
-        )
-        # F† per output level, (out, rank, in), for pulling actions back to inputs
-        self._f3_adj = np.ascontiguousarray(self._f3.conj().transpose(0, 2, 1))
+        # C ≈ F diag(σ) F† with F = V √|w| over the kept eigenpairs, as
+        # (in, out·rank) for Mᵀ F, and F† as (out·rank, in) for pull-backs
+        f = (v[:, keep] * np.sqrt(np.abs(self._w))).reshape(out_dim, in_dim, self._rank)
+        self._f = np.ascontiguousarray(f.transpose(1, 0, 2).reshape(in_dim, -1))
+        self._f_adj = np.ascontiguousarray(self._f.conj().T)
         # adjoint applied to the identity, for the identity part of sign matrices
         self._adj_id = np.ascontiguousarray(np.einsum("aiaj->ij", self._c4).T)
         self._neg = self._neg_h = self._g_choi = self._g_id = None
 
     def _factor(self, psi: np.ndarray) -> np.ndarray:
-        """Y with X(psi) = Y diag(sigma) Y†, shape (out*r, rank)."""
-        m = psi.reshape(self.in_dim, self.r_dim)
-        y = np.matmul(m.T, self._f3)  # ri,aic -> arc
-        return y.reshape(self.out_dim * self.r_dim, self._rank)
+        """Y with X(psi) = Y diag(sigma) Y†, shape (r*out, rank), rows (r, out)."""
+        y = psi.reshape(self.in_dim, self.r_dim).T @ self._f  # ri,i(ac) -> r(ac)
+        return y.reshape(self.r_dim * self.out_dim, self._rank)
 
     def value(self, psi: np.ndarray) -> float:
         r = np.linalg.qr(self._factor(psi), mode="r")
@@ -224,15 +230,14 @@ class TraceNormObjective:
         """apply_sign(psi), given Y = _factor(psi)."""
         # (S − I) Y diag(σ) = −2 P (P† Y) diag(σ), pulled back through F†
         z = self._neg @ ((self._neg_h @ y) * (-2.0 * self._sigma))
-        z = z.reshape(self.out_dim, self.r_dim, self._rank)
-        grad = np.matmul(z, self._f3_adj).sum(axis=0).T  # ark,aki -> ri
+        grad = (z.reshape(self.r_dim, -1) @ self._f_adj).T  # r(ak),(ak)i -> ir
         return (grad + self._adj_id @ psi.reshape(self.in_dim, self.r_dim)).reshape(-1)
 
     def apply_sign(self, psi: np.ndarray) -> np.ndarray:
         """Gψ for the linearization ⟨ψ|G|ψ⟩ = Tr[S X(ψ)] at the last expansion point.
 
-        Y = _factor(ψ), then −2P(P†Y)·σ, one contraction back through F†,
-        plus the adjoint at I applied to M.
+        Y = _factor(ψ), then −2P(P†Y)·σ, one GEMM back through F†, plus the
+        adjoint at I applied to M.
         """
         return self._apply_sign(psi, self._factor(psi))
 
@@ -249,7 +254,7 @@ class TraceNormObjective:
         if self._g_choi is None:
             self._g_choi = -2.0 * self._c4.transpose(2, 0, 3, 1).reshape(o * o, i * i)
             self._g_id = np.kron(self._adj_id, np.eye(r))
-        pp = (self._neg @ self._neg_h).reshape(o, r, o, r).transpose(1, 3, 0, 2)
+        pp = (self._neg @ self._neg_h).reshape(r, o, r, o).transpose(0, 2, 1, 3)
         g = (pp.reshape(r * r, o * o) @ self._g_choi).reshape(r, r, i, i)  # sryx,yxji -> srji
         g = g.transpose(2, 0, 3, 1).reshape(i * r, i * r) + self._g_id
         return 0.5 * (g + g.conj().T)
@@ -273,12 +278,12 @@ class TraceNormObjective:
         rho = (1.0 - DUAL_FLOOR) * np.asarray(rho) + (DUAL_FLOOR / d) * np.eye(d)
         p, u = np.linalg.eigh(rho.T)
         b = (u * np.sqrt(np.maximum(p, 0.0))) @ u.conj().T
-        r = np.linalg.qr(np.matmul(b, self._f3).reshape(self.out_dim * d, self._rank), mode="r")
+        r = np.linalg.qr((b @ self._f).reshape(d * self.out_dim, self._rank), mode="r")
         lam, vec = np.linalg.eigh((r * self._sigma) @ r.conj().T)
         a = np.abs(lam)
         wm = np.linalg.solve(r, vec)  # W = R⁻¹U: M = W|λ|W† and FMF† = (FW)|λ|(FW)†
-        fw = np.matmul(self._f3, wm)
-        g = np.tensordot(fw * a, fw.conj(), axes=([0, 2], [0, 2]))
+        fw = (self._f.reshape(d * self.out_dim, self._rank) @ wm).reshape(d, -1)
+        g = (fw * np.tile(a, self.out_dim)) @ fw.conj().T
         sw = np.sqrt(np.abs(self._w))[:, None] * wm
         core = (sw * a) @ sw.conj().T  # SMS
         least = min(
@@ -302,42 +307,49 @@ def _kraus_eigh(kraus_pair):
 
 
 LANCZOS_STEPS = 24
+LANCZOS_TOL = 1e-12  # residual of a converged top Ritz pair, relative to max|θ|
 
 
-def _lanczos_top(matvec, start: np.ndarray) -> np.ndarray | None:
-    """Top Ritz vector of a Hermitian operator given by matvec: the uncapped
-    ascent's proposal.
+def _lanczos_top(matvec, start: np.ndarray, first: np.ndarray) -> np.ndarray | None:
+    """Top Ritz vector of a Hermitian operator G given by matvec: the uncapped
+    ascent's proposal. `first` is G·start, which the caller already has.
 
     The Krylov space, of at most LANCZOS_STEPS vectors, is grown from `start`
     with full reorthogonalization (fine at the dimensions used here), so it
     contains `start` and the Ritz value is at least start's Rayleigh
-    quotient. Returns None when the space degenerates immediately (start
-    already invariant).
+    quotient. It stops growing once the top Ritz pair (θ, y) has converged:
+    its residual |Gy − θy| = β_k·|s_k|, s_k the last entry of the tridiagonal
+    matrix's top eigenvector, is at most LANCZOS_TOL·max|θ| (Parlett, The
+    Symmetric Eigenvalue Problem, §13.2). Returns None when the space stops
+    at `start` (start already invariant).
     """
     dim = start.size
     iters = min(LANCZOS_STEPS, dim)
+    norm = np.linalg.norm(start)
     basis = np.empty((iters, dim), dtype=np.complex128)
-    basis[0] = start / np.linalg.norm(start)
+    basis[0] = start / norm
+    w = first / norm
     alphas: list[float] = []
     betas: list[float] = []
     for j in range(iters):
-        w = matvec(basis[j])
+        if j:
+            w = matvec(basis[j])
         alphas.append(float(np.vdot(basis[j], w).real))
         k = j + 1
+        # the tridiagonal Lanczos matrix; eigh reads only its lower triangle
+        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
         if k == iters:
             break
         w = w - np.conjugate(basis[:k] @ w.conj()) @ basis[:k]
         w = w - np.conjugate(basis[:k] @ w.conj()) @ basis[:k]
         b = float(np.linalg.norm(w))
-        if b <= 1e-13:
+        if b <= 1e-13 or b * abs(s[-1, -1]) <= LANCZOS_TOL * np.abs(theta).max():
             break
         betas.append(b)
         basis[k] = w / b
     if k == 1:
         return None
-    # the tridiagonal Lanczos matrix; eigh reads only its lower triangle
-    ritz = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))[1][:, -1]
-    top = ritz @ basis[:k]
+    top = s[:, -1] @ basis[:k]
     return top / np.linalg.norm(top)
 
 
@@ -529,7 +541,9 @@ def ascend(
     An `EnergyCap` at psi.size <= CAP_PROPOSAL_MAX_DIM takes `_capped_proposal`
     (the exact maximizer of the linearization under the cap), a larger cap
     takes a projected gradient step whose length halves until it improves,
-    and no cap takes the Lanczos Ritz vector of the linearization. Candidates
+    and no cap takes the Lanczos Ritz vector of the linearization, whose
+    first product is the gradient already at hand and whose Krylov space
+    stops once its top Ritz pair has converged (`_lanczos_top`). Candidates
     are screened once with the linearized value, which lower-bounds the true
     objective, so every accepted step improves and costs one
     eigendecomposition of the output. Stops at the first candidate that does
@@ -562,7 +576,7 @@ def ascend(
             if dense_cap:
                 cand, mu_hint = _capped_proposal(objective, project, mu_hint)
             else:
-                cand = _lanczos_top(objective.apply_sign, psi)
+                cand = _lanczos_top(objective.apply_sign, psi, 0.5 * grad)
             if cand is None or objective.sign_value(cand) <= f:
                 break
         psi = cand

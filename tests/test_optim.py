@@ -318,6 +318,58 @@ def test_sign_surrogate_touches_from_below():
         assert obj.sign_value(v) <= obj.value(v) + 1e-9
 
 
+def _hermitian_with_spectrum(rng, spectrum):
+    dim = len(spectrum)
+    q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    return (q * np.asarray(spectrum)) @ q.conj().T
+
+
+def _counted_matvec(g):
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return g @ v
+
+    return matvec, calls
+
+
+def test_lanczos_stops_at_a_converged_top_ritz_pair():
+    """A start within 1e-8 of the top eigenvector of a gapped spectrum
+    converges the top Ritz pair in a few steps, not LANCZOS_STEPS, and the
+    Ritz vector is the dense top eigenvector to 1e-10."""
+    rng = np.random.default_rng(61)
+    g = _hermitian_with_spectrum(rng, np.concatenate([np.linspace(-1.0, 1.0, 59), [3.0]]))
+    top = np.linalg.eigh(g)[1][:, -1]
+    start = normalize(top + 1e-8 * haar_vector(rng, top.size))
+    matvec, calls = _counted_matvec(g)
+    vec = optim._lanczos_top(matvec, start, g @ start)
+    # a space grown to LANCZOS_STEPS vectors takes LANCZOS_STEPS - 1 products
+    assert len(calls) < optim.LANCZOS_STEPS // 2
+    phase = np.vdot(vec, top)
+    np.testing.assert_allclose(vec * (phase / abs(phase)), top, atol=1e-10)
+
+
+@pytest.mark.parametrize("levels", [2, 5, 9])
+def test_lanczos_takes_its_first_product_from_the_caller(levels):
+    """With G·start given, the matvec runs once per Krylov vector after the
+    first: a spectrum of `levels` distinct values gives a Krylov space of that
+    dimension from a generic start, whose top Ritz vector is start's
+    normalized component in the top eigenspace."""
+    rng = np.random.default_rng(62)
+    spectrum = np.repeat(np.arange(levels, dtype=float), 4)
+    g = _hermitian_with_spectrum(rng, spectrum)
+    w, v = np.linalg.eigh(g)
+    start = haar_vector(rng, spectrum.size)
+    matvec, calls = _counted_matvec(g)
+    vec = optim._lanczos_top(matvec, start, g @ start)
+    assert len(calls) == levels - 1
+    top = v[:, w > levels - 1.5]
+    expected = normalize(top @ (top.conj().T @ start))
+    phase = np.vdot(vec, expected)
+    np.testing.assert_allclose(vec * (phase / abs(phase)), expected, atol=1e-10)
+
+
 def test_identity_member_equals_choi_bound():
     """The dual bound at I/d with no cap, through the objective and through
     `diamond_upper_bound`, is λmax(Tr_out |C|) from numpy's eigh and a loop

@@ -10,7 +10,10 @@ parent first in even pairs and the change first in odd ones:
 of the 0.70/0.69 attenuator pair at 8, 16 and 24 levels (`constructor_s`);
 and the per-call time of one capped proposal (`optim._capped_proposal`) on
 that pair at 8 levels (r = 8) and on a random d = 4, r = 2 difference, after
-a first call that builds what the objective keeps (`capped_proposal_s`). It
+a first call that builds what the objective keeps (`capped_proposal_s`); and
+the time of one uncapped ascent (`optim.ascend` from start 0, 15 iterations,
+the Lanczos proposal) on that pair at 16 levels (r = 16), with the number of
+`apply_sign` calls it made (`uncapped_ascent_s`). It
 keeps every run's metrics and their medians, and each timing's runs, median
 and quartiles per side. It also records how far the lower and upper value of
 every bracket task (capped-families, lanczos-zoo) moved between the
@@ -117,8 +120,39 @@ for name, (m, r, energy) in problems.items():
 print(json.dumps(out))
 """
 
+UNCAPPED = """
+import json, statistics, sys, time
+sys.path.insert(0, "src")
+from ecdnorm import HermitianPreservingMap, attenuator, ecd, optim
+d = 16
+m = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
+obj = ecd._objective(m, d)
+start = optim.start_vectors(d, d, 1, 0)[0]
+apply_sign = obj.apply_sign
+calls = []
 
-TIMINGS = {"constructor_s": CONSTRUCTOR, "capped_proposal_s": CAPPED}
+
+def counted(psi):
+    calls.append(1)
+    return apply_sign(psi)
+
+
+obj.apply_sign = counted
+times = []
+for _ in range(9):
+    calls.clear()
+    begin = time.perf_counter()
+    optim.ascend(obj, start, None, 15)
+    times.append(time.perf_counter() - begin)
+print(json.dumps({"pair16": statistics.median(times), "pair16_apply_sign_calls": len(calls)}))
+"""
+
+
+TIMINGS = {
+    "constructor_s": CONSTRUCTOR,
+    "capped_proposal_s": CAPPED,
+    "uncapped_ascent_s": UNCAPPED,
+}
 
 
 def _last_json(cmd, cwd) -> dict:
