@@ -9,7 +9,9 @@ toward the ground state in closed form, and every state keeps the same
 fraction of its energy above the ground energy). The ascent
 is batched over the ensemble: every output state comes from one product
 with the stacked Kraus operators, and an evaluation makes one stacked
-eigendecomposition of the outputs plus one of their average.
+eigendecomposition of the outputs plus one of their average. The gradient
+step reuses an accepted trial's forward pass, and a line search ends once
+its shortfalls f − f(α) halve with the step, which marks a descent slope.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .thermo import gibbs_multiplier
 
 SUPPORT_TOL = 1e-12
 EIG_FLOOR = 1e-18
+# a failed trial's shortfall f − f(α) that halves with α, to within this
+# relative tolerance, is the linear term α·D of a descent direction (D < 0)
+HALVING_TOL = 0.05
 
 
 def _matrix(rho) -> np.ndarray:
@@ -217,11 +222,16 @@ class _EnsembleAscent:
         return probs, psis, images, outs, avg
 
     def value(self, logits: np.ndarray, psis: np.ndarray) -> float:
-        probs, _, _, outs, avg = self._forward(logits, psis)
+        """χ at a point; its forward pass is kept in `last` for `grads`."""
+        self.last = probs, _, _, outs, avg = self._forward(logits, psis)
         return float(_entropy_nd(avg) - probs @ _entropy_nd(outs))
 
     def value_and_grads(self, logits, psis):
-        probs, psis, images, outs, avg = self._forward(logits, psis)
+        return self.grads(self._forward(logits, psis))
+
+    def grads(self, forward):
+        """χ and its gradients at the point whose `_forward` tuple is given."""
+        probs, psis, images, outs, avg = forward
         w_outs, v_outs = np.linalg.eigh(outs)
         w_avg, v_avg = np.linalg.eigh(avg)
         s_outs = _spectral_entropy(w_outs)
@@ -242,6 +252,12 @@ class _EnsembleAscent:
         return chi, grad_logits, grad_psis
 
 
+def _halving(shortfalls) -> bool:
+    """The last three shortfalls are positive and each is half the one before (± HALVING_TOL)."""
+    s = shortfalls[-3:]
+    return len(s) == 3 and min(s) > 0.0 and all(abs(b / a - 0.5) <= HALVING_TOL for a, b in zip(s, s[1:]))
+
+
 def holevo_capacity_estimate(
     channel: Channel,
     h_in: Hamiltonian,
@@ -260,12 +276,17 @@ def holevo_capacity_estimate(
     random draws keyed by (seed, restart). Every evaluation first caps the
     average input energy with `EnergyCap.project`, which also validates the
     budget: ValueError when it is not finite, InfeasibleProblemError at or
-    below the ground energy.
+    below the ground energy; ValueError for fewer than 1 restart or state.
+
+    The gradient step reuses the accepted trial's forward pass. Backtracking
+    halves the step down to 1e-12, or until the last three trials fall short
+    by amounts that halve with it (ratio 1/2 ± HALVING_TOL): then
+    f(α) − f ≈ α·D with D < 0, and no shorter step gains.
     """
     d = channel.in_dim
     size = d if ensemble_size is None else int(ensemble_size)
-    if size < 1:
-        raise ValueError("ensemble size must be at least 1")
+    if size < 1 or restarts < 1:
+        raise ValueError("ensemble size and restarts must be at least 1")
     problem = _EnsembleAscent(channel, h_in, energy_budget, size)
 
     def eigen_start():
@@ -287,14 +308,15 @@ def holevo_capacity_estimate(
             logits = 0.3 * rng.standard_normal(size)
             psis = rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))
             psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-        f = problem.value(logits, psis)
+        f, forward = problem.value(logits, psis), problem.last
         alpha = 0.25
         history = [f]
         for _ in range(max_iter):
-            f_cur, g_logits, g_psis = problem.value_and_grads(logits, psis)
+            f_cur, g_logits, g_psis = problem.grads(forward)
             f = max(f, f_cur)
             scale = max(np.linalg.norm(g_logits), np.max(np.linalg.norm(g_psis, axis=1)), 1e-30)
             moved = False
+            shortfalls = []
             while alpha >= 1e-12:
                 cand_logits = logits + alpha * g_logits / scale
                 cand_psis = psis + alpha * g_psis / scale
@@ -302,10 +324,13 @@ def holevo_capacity_estimate(
                 if fc > f:
                     moved = True
                     break
+                shortfalls.append(f - fc)
+                if _halving(shortfalls):
+                    break
                 alpha *= 0.5
             if not moved:
                 break
-            logits, psis, f = cand_logits, cand_psis, fc
+            logits, psis, f, forward = cand_logits, cand_psis, fc, problem.last
             alpha = min(alpha * 1.3, 8.0)
             history.append(f)
             if len(history) > 20 and f - history[-21] <= 1e-9 * max(1.0, f):

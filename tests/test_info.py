@@ -38,7 +38,8 @@ from ecdnorm import (
     solve_gibbs,
     vacuum_state,
 )
-from ecdnorm.info import _EnsembleAscent
+from ecdnorm.info import _EnsembleAscent, _halving
+from ecdnorm.thermo import gibbs_multiplier
 
 LN2 = math.log(2.0)
 
@@ -405,6 +406,118 @@ def test_capacity_estimate_attenuator_floor():
     h = TruncatedOscillator(6).hamiltonian
     cap = holevo_capacity_estimate(attenuator(6, 0.7), h, 1.5, restarts=2, max_iter=25)
     assert 0.9 <= cap <= g(0.7)
+
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls of the named `_EnsembleAscent` methods, through the class."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(_EnsembleAscent, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(_EnsembleAscent, name, counted)
+    return counts
+
+
+def test_capacity_estimate_ends_a_first_order_search_at_the_optimum(monkeypatch):
+    """The Gibbs-weighted eigenbasis start is the identity channel's optimum:
+    the capped step cannot gain, and the search ends after a few trials
+    whose shortfalls halve, not after halving the step down to 1e-12."""
+    counts = _count_calls(monkeypatch, "value")
+    h = TruncatedOscillator(6).hamiltonian
+    cap = holevo_capacity_estimate(identity_channel(6), h, 1.5, restarts=1, max_iter=25)
+    assert abs(cap - max_entropy(h, 1.5)) < 1e-9
+    assert counts["value"] <= 6
+
+
+def test_capacity_estimate_runs_one_forward_pass_per_value(monkeypatch):
+    """The gradient step takes the accepted trial's forward pass."""
+    counts = _count_calls(monkeypatch, "value", "_forward")
+    h = TruncatedOscillator(6).hamiltonian
+    holevo_capacity_estimate(attenuator(6, 0.7), h, 1.5, restarts=2, max_iter=25)
+    assert counts["value"] > 25
+    assert counts["_forward"] == counts["value"]
+
+
+def test_halving_stop_rule():
+    assert _halving([6.3e-3, 3.2e-3, 1.6e-3])
+    assert _halving([9.0, 1.0, 0.5, 0.25])
+    # a search dominated by curvature goes on (ratios 0.68, 0.80, 0.55)
+    shortfalls = [1.0]
+    for ratio in (0.68, 0.80, 0.55):
+        shortfalls.append(shortfalls[-1] * ratio)
+        assert not _halving(shortfalls)
+    assert not _halving([4e-3, 2e-3, 0.0])
+    assert not _halving([0.0, 0.0, 0.0])
+    assert not _halving([4e-3, 2e-3])
+    assert not _halving([])
+
+
+def _full_halving_estimate(channel, h, budget, restarts, max_iter):
+    """The estimator with every failing search halved down to 1e-12 and a
+    fresh forward pass for each gradient."""
+    d = channel.in_dim
+    problem = _EnsembleAscent(channel, h, budget, d)
+    best = 0.0
+    for r in range(restarts):
+        if r == 0:
+            logits = -gibbs_multiplier(h, budget) * h.eigenvalues
+            psis = h.eigenbasis.T.astype(np.complex128)
+        else:
+            rng = np.random.default_rng([0, r])
+            logits = 0.3 * rng.standard_normal(d)
+            psis = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+        f = problem.value(logits, psis)
+        alpha = 0.25
+        history = [f]
+        for _ in range(max_iter):
+            f_cur, g_logits, g_psis = problem.value_and_grads(logits, psis)
+            f = max(f, f_cur)
+            scale = max(np.linalg.norm(g_logits), np.max(np.linalg.norm(g_psis, axis=1)), 1e-30)
+            moved = False
+            while alpha >= 1e-12:
+                cand_logits = logits + alpha * g_logits / scale
+                cand_psis = psis + alpha * g_psis / scale
+                fc = problem.value(cand_logits, cand_psis)
+                if fc > f:
+                    moved = True
+                    break
+                alpha *= 0.5
+            if not moved:
+                break
+            logits, psis, f = cand_logits, cand_psis, fc
+            alpha = min(alpha * 1.3, 8.0)
+            history.append(f)
+            if len(history) > 20 and f - history[-21] <= 1e-9 * max(1.0, f):
+                break
+        best = max(best, f)
+    return best
+
+
+@pytest.mark.parametrize("levels", [6, 9, 12])
+def test_capacity_estimate_equals_the_full_halving_search(levels):
+    """Ending first-order searches early and reusing forward passes leaves
+    every estimate bit-identical."""
+    h = TruncatedOscillator(levels).hamiltonian
+    for channel in (
+        identity_channel(levels),
+        attenuator(levels, 0.7),
+        depolarize_to(vacuum_state(levels), 0.6),
+    ):
+        expected = _full_halving_estimate(channel, h, 1.5, restarts=2, max_iter=25)
+        assert holevo_capacity_estimate(channel, h, 1.5, restarts=2, max_iter=25) == expected
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_capacity_estimate_rejects_fewer_than_one_restart(restarts):
+    h = TruncatedOscillator(3).hamiltonian
+    with pytest.raises(ValueError):
+        holevo_capacity_estimate(identity_channel(3), h, 1.0, restarts=restarts)
 
 
 def test_data_processing_for_holevo_quantity():

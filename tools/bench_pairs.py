@@ -13,11 +13,14 @@ that pair at 8 levels (r = 8) and on a random d = 4, r = 2 difference, after
 a first call that builds what the objective keeps (`capped_proposal_s`); and
 the time of one uncapped ascent (`optim.ascend` from start 0, 15 iterations,
 the Lanczos proposal) on that pair at 16 levels (r = 16), with the number of
-`apply_sign` calls it made (`uncapped_ascent_s`). It
-keeps every run's metrics and their medians, and each timing's runs, median
-and quartiles per side. It also records how far the lower and upper value of
-every bracket task (capped-families, lanczos-zoo) moved between the
-checkouts. Every measurement runs in a fresh process with one BLAS thread.
+`apply_sign` calls it made (`uncapped_ascent_s`); and the time of one
+capacity estimate (`holevo_capacity_estimate` of the 0.7 attenuator at 12
+levels, energy 1.5, 2 restarts of at most 25 steps: the bench's `cap-est`
+setting), with the number of `_EnsembleAscent.value` calls it made
+(`capacity_s`). It keeps every run's metrics and their medians, and each
+timing's runs, median and quartiles per side. It also records how far the
+lower and upper value of every bracket task (capped-families, lanczos-zoo)
+moved between the checkouts. Every measurement runs in a fresh process with one BLAS thread.
 
 For each end-to-end metric of BENCHMARK.json and each workload, `verdicts`
 records both sides' quartiles, the pairs the change wins (ties count for
@@ -147,11 +150,38 @@ for _ in range(9):
 print(json.dumps({"pair16": statistics.median(times), "pair16_apply_sign_calls": len(calls)}))
 """
 
+CAPACITY = """
+import json, statistics, sys, time
+sys.path.insert(0, "src")
+from ecdnorm import TruncatedOscillator, attenuator, holevo_capacity_estimate
+from ecdnorm.info import _EnsembleAscent
+h = TruncatedOscillator(12, 1.0).hamiltonian
+channel = attenuator(12, 0.7)
+value = _EnsembleAscent.value
+calls = []
+
+
+def counted(self, logits, psis):
+    calls.append(1)
+    return value(self, logits, psis)
+
+
+_EnsembleAscent.value = counted
+times = []
+for _ in range(9):
+    calls.clear()
+    begin = time.perf_counter()
+    holevo_capacity_estimate(channel, h, 1.5, restarts=2, max_iter=25)
+    times.append(time.perf_counter() - begin)
+print(json.dumps({"attenuator12": statistics.median(times), "attenuator12_value_calls": len(calls)}))
+"""
+
 
 TIMINGS = {
     "constructor_s": CONSTRUCTOR,
     "capped_proposal_s": CAPPED,
     "uncapped_ascent_s": UNCAPPED,
+    "capacity_s": CAPACITY,
 }
 
 
