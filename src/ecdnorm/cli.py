@@ -43,7 +43,7 @@ from .info import (
     holevo_quantity,
     mutual_information,
 )
-from .operators import HermitianPreservingMap, InfeasibleProblemError
+from .operators import DensityOperator, HermitianPreservingMap, InfeasibleProblemError
 from .serialize import (
     channel_from_json,
     channel_to_json,
@@ -367,9 +367,14 @@ def _exp_tightness_cchi(args):
 def _exp_tightness_ea(args):
     d = args.levels
     h = TruncatedOscillator(d, 1.0).hamiltonian
-    gibbs = solve_gibbs(h, args.energy).state
-    cea_id = channel_mutual_information(identity_channel(d), gibbs)
-    cea_depol = channel_mutual_information(depolarize_to(vacuum_state(d), 1.0), gibbs)
+    # the constrained max-entropy input: the Gibbs state below the mean
+    # level, the uniform state once it is feasible
+    if args.energy >= h.mean_eigenvalue:
+        best = DensityOperator(np.eye(d) / d)
+    else:
+        best = solve_gibbs(h, args.energy).state
+    cea_id = channel_mutual_information(identity_channel(d), best)
+    cea_depol = channel_mutual_information(depolarize_to(vacuum_state(d), 1.0), best)
     f_value = max_entropy(h, args.energy)
     return {
         "ea_identity": cea_id,

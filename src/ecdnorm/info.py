@@ -12,6 +12,16 @@ with the stacked Kraus operators, and an evaluation makes one stacked
 eigendecomposition of the outputs plus one of their average. The gradient
 step reuses an accepted trial's forward pass, and a line search ends once
 its shortfalls f − f(α) halve with the step, which marks a descent slope.
+A restart ends at once when its gradient vanishes to rounding (largest
+block norm at most VANISHING_GRAD·max(1, χ)), as on a constant channel.
+
+The channel mutual information I(ρ, Φ) = H(ρ) + H(Φ(ρ)) − H(Φ̂(ρ)) is taken
+through the Stinespring dilation: with m the purification's coefficient
+matrix, the complementary output Φ̂(ρ) has the nonzero spectrum of the joint
+output Σ_j vec(K_j m) vec(K_j m)†, and so of the Gram matrix of the
+n_kraus vectors vec(K_j m). Three small eigensolves (ρ, Φ(ρ) and that Gram
+matrix, or the joint output when out·rank is the smaller side) give the
+three entropies.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ EIG_FLOOR = 1e-18
 # a failed trial's shortfall f − f(α) that halves with α, to within this
 # relative tolerance, is the linear term α·D of a descent direction (D < 0)
 HALVING_TOL = 0.05
+# a gradient whose largest block norm is at most this times max(1, χ) is
+# rounding: no step along it can gain more than rounding either
+VANISHING_GRAD = 1e-14
 
 
 def _matrix(rho) -> np.ndarray:
@@ -129,41 +142,53 @@ def holevo_quantity(ensemble: Ensemble) -> float:
     return max(val, 0.0)
 
 
+def _checked_mutual_information(val: float) -> float:
+    if val < -1e-8:
+        raise RuntimeError(f"mutual information came out negative: {val}")
+    return max(val, 0.0)
+
+
 def mutual_information(rho, dims: tuple[int, int]) -> float:
     """I(A:B) = H(A) + H(B) - H(AB) of a bipartite state."""
     m = _matrix(rho)
     da, db = dims
     if m.shape != (da * db, da * db):
         raise ValueError(f"state shape {m.shape} does not match factor dims {dims}")
-    val = float(
-        _entropy_nd(partial_trace(m, dims, keep=0))
-        + _entropy_nd(partial_trace(m, dims, keep=1))
-        - _entropy_nd(m)
+    return _checked_mutual_information(
+        float(
+            _entropy_nd(partial_trace(m, dims, keep=0))
+            + _entropy_nd(partial_trace(m, dims, keep=1))
+            - _entropy_nd(m)
+        )
     )
-    if val < -1e-8:
-        raise RuntimeError(f"mutual information came out negative: {val}")
-    return max(val, 0.0)
 
 
 def channel_mutual_information(channel: Channel, rho: DensityOperator) -> float:
     """I(B:R) of (Φ ⊗ id)(|ψ⟩⟨ψ|) for a purification ψ of the input state.
 
     The reference dimension equals the rank of the input state; the value
-    does not depend on the choice of purification.
+    does not depend on the choice of purification. The joint output's
+    entropy comes from a Gram matrix (module docstring), so no (out·rank)²
+    matrix is formed.
     """
     if rho.dimension != channel.in_dim:
         raise ValueError("state dimension does not match the channel input")
     w, v = np.linalg.eigh(rho.matrix)
     keep = w > SUPPORT_TOL
     lam = w[keep]
-    vecs = v[:, keep]
     rank = lam.size
-    # purification coefficients as a matrix (input × reference)
-    m = vecs * np.sqrt(lam)
+    m = v[:, keep] * np.sqrt(lam)
     out_dim = channel.out_dim
-    # row j holds vec(K_j m), and the output state is Σ_j vec(K_j m) vec(K_j m)†
-    vecs = (_isometry(channel) @ m).reshape(-1, out_dim * rank)
-    return mutual_information(vecs.T @ vecs.conj(), (out_dim, rank))
+    # images[j] = K_j m; R's marginal is diag(lam), B's is Φ(ρ) = Σ_j K_j m m† K_j†
+    images = (_isometry(channel) @ m).reshape(-1, out_dim, rank)
+    side = np.swapaxes(images, 0, 1).reshape(out_dim, -1)
+    # row j is vec(K_j m); the joint output Σ_j vec vec† and the rows' Gram
+    # matrix share their nonzero spectrum, so the smaller one is diagonalized
+    rows = images.reshape(len(images), -1)
+    joint = rows @ rows.conj().T if len(rows) <= rows.shape[1] else rows.T @ rows.conj()
+    return _checked_mutual_information(
+        float(_spectral_entropy(lam) + _entropy_nd(side @ side.conj().T) - _entropy_nd(joint))
+    )
 
 
 def output_energy_sup(
@@ -314,7 +339,9 @@ def holevo_capacity_estimate(
         for _ in range(max_iter):
             f_cur, g_logits, g_psis = problem.grads(forward)
             f = max(f, f_cur)
-            scale = max(np.linalg.norm(g_logits), np.max(np.linalg.norm(g_psis, axis=1)), 1e-30)
+            scale = max(np.linalg.norm(g_logits), np.max(np.linalg.norm(g_psis, axis=1)))
+            if scale <= VANISHING_GRAD * max(1.0, f):
+                break
             moved = False
             shortfalls = []
             while alpha >= 1e-12:

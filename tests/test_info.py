@@ -189,6 +189,76 @@ def test_channel_mutual_information_purification_invariance():
     assert abs(got - manual) < 1e-9
 
 
+def _joint_state_mutual_information(channel, rho):
+    """I(B:R) of the explicitly built (Φ ⊗ id)(|ψ⟩⟨ψ|), ψ = Σ_i √λ_i |v_i⟩|i⟩."""
+    w, v = np.linalg.eigh(rho.matrix)
+    keep = w > 1e-12
+    rank = int(keep.sum())
+    psi = (v[:, keep] * np.sqrt(w[keep])).reshape(-1)
+    joint = 0.0
+    for k in channel.kraus:
+        vec = np.kron(k, np.eye(rank)) @ psi
+        joint = joint + np.outer(vec, vec.conj())
+    return mutual_information(joint, (channel.out_dim, rank))
+
+
+def _joint_cases():
+    """(name, channel, input state): Kraus counts on both sides of out·rank,
+    rank-deficient inputs, the identity and the vacuum depolarizer."""
+    rng = np.random.default_rng(73)
+    yield "few-kraus", random_channel(rng, 3, 3, 2), ginibre_density(rng, 3)
+    yield "few-kraus-rank1", random_channel(rng, 4, 3, 2), ginibre_density(rng, 4, rank=1)
+    yield "many-kraus-pure", random_channel(rng, 3, 2, 5), ginibre_density(rng, 3, rank=1)
+    yield "many-kraus-rank2", random_channel(rng, 4, 2, 6), ginibre_density(rng, 4, rank=2)
+    yield "wide-output", random_channel(rng, 2, 5, 3), ginibre_density(rng, 2)
+    h = TruncatedOscillator(8).hamiltonian
+    gibbs = solve_gibbs(h, 2.0).state
+    yield "identity", identity_channel(8), gibbs
+    yield "identity-rank3", identity_channel(5), ginibre_density(rng, 5, rank=3)
+    yield "vacuum-depolarizer", depolarize_to(vacuum_state(8), 1.0), gibbs
+    yield "partial-depolarizer", depolarize_to(vacuum_state(5), 0.6), ginibre_density(rng, 5, rank=2)
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _joint_cases()])
+def test_channel_mutual_information_matches_the_joint_state(case):
+    """The Gram-matrix route equals the mutual information of the joint output."""
+    _, channel, rho = next(c for c in _joint_cases() if c[0] == case)
+    want = _joint_state_mutual_information(channel, rho)
+    assert abs(channel_mutual_information(channel, rho) - want) <= 1e-12 * max(1.0, want)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        identity_channel(16),
+        depolarize_to(vacuum_state(16), 1.0),
+        random_channel(np.random.default_rng(74), 3, 3, 4),
+    ],
+    ids=["identity16", "vacuum-depolarizer16", "random-d3k4"],
+)
+def test_channel_mutual_information_never_diagonalizes_the_joint_output(monkeypatch, channel):
+    """No eigensolve is larger than max(out, min(n_kraus, out·rank)), the
+    larger of B's marginal and the joint output's Gram matrix."""
+    d = channel.in_dim
+    h = TruncatedOscillator(d).hamiltonian
+    rho = solve_gibbs(h, min(2.0, 0.5 * (h.ground_energy + h.mean_eigenvalue))).state
+    sizes = []
+
+    def spy(solver):
+        def wrapper(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return solver(a, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    channel_mutual_information(channel, rho)
+    rank = d  # a Gibbs state has full rank
+    out = channel.out_dim
+    assert sizes and max(sizes) <= max(out, min(len(channel.kraus), out * rank)), sizes
+
+
 def test_energy_gain_identity_and_replacer():
     h = Hamiltonian([0.0, 1.0, 2.0])
     assert abs(energy_gain(identity_channel(3), h, h, 0.8) - 1.0) < 1e-9
@@ -511,6 +581,19 @@ def test_capacity_estimate_equals_the_full_halving_search(levels):
     ):
         expected = _full_halving_estimate(channel, h, 1.5, restarts=2, max_iter=25)
         assert holevo_capacity_estimate(channel, h, 1.5, restarts=2, max_iter=25) == expected
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+def test_capacity_estimate_stops_at_a_vanishing_gradient(monkeypatch, restarts):
+    """A constant channel has a zero gradient up to rounding: each restart
+    ends at its first gradient instead of halving the step down to 1e-12."""
+    counts = _count_calls(monkeypatch, "value")
+    h = TruncatedOscillator(6).hamiltonian
+    cap = holevo_capacity_estimate(
+        depolarize_to(vacuum_state(6), 1.0), h, 1.5, restarts=restarts, max_iter=25
+    )
+    assert cap < 1e-12
+    assert counts["value"] <= 2 * restarts
 
 
 @pytest.mark.parametrize("restarts", [0, -1])

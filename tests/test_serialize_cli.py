@@ -354,6 +354,21 @@ def test_cli_experiment_smoke(tmp_path):
     assert abs(doc["result"]["ea_identity"] - doc["result"]["twice_max_entropy"]) < 1e-6
 
 
+@pytest.mark.parametrize("energy", [5.0, 7.5, 9.0])
+def test_tightness_ea_above_the_mean_energy_uses_the_uniform_input(energy):
+    """At or above the mean level the constrained max-entropy input is I/d,
+    so the identity attains 2 ln d; at or above the top level the cap is
+    inactive, not infeasible."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["experiment", "tightness-ea", "--levels", "8", "--energy", repr(energy)])
+    assert code == 0
+    result = json.loads(out.getvalue())["result"]
+    assert abs(result["twice_max_entropy"] - 2.0 * math.log(8)) < 1e-12
+    assert abs(result["ea_identity"] - result["twice_max_entropy"]) < 1e-9
+    assert result["ea_depolarizer"] < 1e-9
+
+
 def test_cli_main_reuses_one_parser(workdir, monkeypatch, capsys):
     """Calls of main in one process print what a fresh parser prints for each
     call, in order: no default or namespace carries over, and the parser is

@@ -17,10 +17,17 @@ the Lanczos proposal) on that pair at 16 levels (r = 16), with the number of
 capacity estimate (`holevo_capacity_estimate` of the 0.7 attenuator at 12
 levels, energy 1.5, 2 restarts of at most 25 steps: the bench's `cap-est`
 setting), with the number of `_EnsembleAscent.value` calls it made
-(`capacity_s`). It keeps every run's metrics and their medians, and each
-timing's runs, median and quartiles per side. It also records how far the
-lower and upper value of every bracket task (capped-families, lanczos-zoo)
-moved between the checkouts. Every measurement runs in a fresh process with one BLAS thread.
+(`capacity_s`); and the time of the `experiment tightness-ea` body at 16
+levels and energy 2, after one warm-up call (`ea_s`). Each timing is the
+median of 9 runs in one process. It keeps every run's metrics and their
+medians, and each timing's runs, median and quartiles per side. It also
+records how far the lower and upper value of every bracket task
+(capped-families, lanczos-zoo) moved between the checkouts, and which
+bounds-cli stdouts differ once the work directory is replaced by `{work}`,
+each with the largest relative difference of its numbers (`cli_drift`;
+two numbers below 1e-14 count as equal, as in the bench checks; null where
+either side exits nonzero or the count of numbers differs). Every
+measurement runs in a fresh process with one BLAS thread.
 
 For each end-to-end metric of BENCHMARK.json and each workload, `verdicts`
 records both sides' quartiles, the pairs the change wins (ties count for
@@ -43,6 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
+import checks  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEED = 601
@@ -176,12 +184,41 @@ for _ in range(9):
 print(json.dumps({"attenuator12": statistics.median(times), "attenuator12_value_calls": len(calls)}))
 """
 
+EA = """
+import json, statistics, sys, time, types
+sys.path.insert(0, "src")
+from ecdnorm import cli
+args = types.SimpleNamespace(levels=16, energy=2.0)
+cli._exp_tightness_ea(args)
+times = []
+for _ in range(9):
+    begin = time.perf_counter()
+    cli._exp_tightness_ea(args)
+    times.append(time.perf_counter() - begin)
+print(json.dumps({"levels16_E2": statistics.median(times)}))
+"""
+
+CLI_OUTPUTS = """
+import json, sys, tempfile
+sys.path.insert(0, "perfbench")
+import run, workloads
+lib = run.import_library(True)
+tasks = workloads.pool("bounds-cli")
+out = {}
+with tempfile.TemporaryDirectory() as work:
+    workloads.prepare(tasks, lib, work)
+    for t in tasks:
+        code, text = t.run(lib)
+        out[t.key] = [code, text.replace(work, "{work}")]
+print(json.dumps(out))
+"""
 
 TIMINGS = {
     "constructor_s": CONSTRUCTOR,
     "capped_proposal_s": CAPPED,
     "uncapped_ascent_s": UNCAPPED,
     "capacity_s": CAPACITY,
+    "ea_s": EA,
 }
 
 
@@ -238,14 +275,34 @@ def timing_summary(runs) -> dict:
     return out
 
 
-def drift(before: dict, after: dict) -> dict:
-    def rel(a, b):
-        return abs(b - a) / max(abs(a), 1e-300) if a != b else 0.0
+def _rel(a, b):
+    return abs(b - a) / max(abs(a), 1e-300) if a != b else 0.0
 
+
+def drift(before: dict, after: dict) -> dict:
     return {
-        key: {"lower": rel(lo, after[key][0]), "upper": rel(up, after[key][1])}
+        key: {"lower": _rel(lo, after[key][0]), "upper": _rel(up, after[key][1])}
         for key, (lo, up) in before.items()
     }
+
+
+def _number_drift(a, b):
+    """`_rel`, with two numbers below the checks' zero (1e-14) counted as equal."""
+    return 0.0 if max(abs(a), abs(b)) < checks.ZERO else _rel(a, b)
+
+
+def cli_drift(before: dict, after: dict) -> dict:
+    """The stdouts that differ, each with the largest relative change of its numbers."""
+    tasks = {}
+    for key, (code, text) in before.items():
+        if after[key] == [code, text]:
+            continue
+        tasks[key] = None
+        if after[key][0] == code == 0:
+            old, new = (checks.numbers(checks.parse_output(t)) for t in (text, after[key][1]))
+            if len(old) == len(new):
+                tasks[key] = max(map(_number_drift, old, new), default=0.0)
+    return {"changed": len(tasks), "tasks": tasks}
 
 
 def main(argv=None) -> int:
@@ -282,6 +339,8 @@ def main(argv=None) -> int:
         "max_upper_rel": max(d["upper"] for d in per_task.values()),
         "tasks": per_task,
     }
+    outputs = {side: _last_json([sys.executable, "-c", CLI_OUTPUTS], c) for side, c in sides.items()}
+    doc["cli_drift"] = cli_drift(outputs["parent"], outputs["change"])
     for script, side_runs in timings.items():
         doc[script] = {side: timing_summary(r) for side, r in side_runs.items()}
     out = args.change / f"BENCH_{args.label}.json"
