@@ -25,6 +25,10 @@ arbitrary channels qualify. The premise in every case is that the two
 channels being compared are within 2ε in the energy-constrained norm at the
 matching input energy; k is the energy gain factor of the channels.
 
+F is a cap class whose `at(E)` takes a scalar or an array: the oscillator
+closed form (alone with the sharpened log-shift form), the shifted Gibbs cap
+of a Hamiltonian, or any tabulated function.
+
 The formula is one function, `_terms`, with math or numpy logarithms: a
 kind's call, its array form `terms` and every step of `optimize_t` score t
 through it. `optimize_t` takes the grid point of the smallest array total,
@@ -44,12 +48,7 @@ import numpy as np
 
 from .operators import Hamiltonian
 from .optim import golden_section_min
-from .thermo import (
-    HarmonicModes,
-    oscillator_entropy_bound,
-    shifted_bound_saturation,
-    shifted_entropy_bound,
-)
+from .thermo import max_entropy
 
 
 def smoothing_factor(epsilon: float, t: float) -> float:
@@ -63,19 +62,43 @@ def smoothing_factor(epsilon: float, t: float) -> float:
     return (1.0 + 0.5 * t) / (1.0 - epsilon * t)
 
 
+def _require_positive(energy, cap: str) -> None:
+    """Raise unless energy > 0; an array must be positive at every element."""
+    if np.any(energy <= 0.0) if isinstance(energy, np.ndarray) else energy <= 0.0:
+        raise ValueError(f"the {cap} entropy bound needs energy > 0, got {energy}")
+
+
 @dataclass(frozen=True)
 class OscillatorEntropyBound:
-    """Closed-form multimode oscillator entropy bound.
+    """Closed-form entropy bound ℓ ln((E + E₀)/(ℓE*)) + ℓ for ℓ modes.
 
-    Supports the sharpened log-shift evaluation F(E) - ℓ ln(εt) in place of
-    F(E/(εt)); the sharpened value never exceeds the generic one. The
-    energy of `at` and the scale x of `log_shift_at` may be ndarrays.
+    frequencies are the mode frequencies ħω_i; E₀ = ½Σω is the zero-point
+    energy and E* the geometric mean frequency. The value dominates
+    max_entropy of any finite truncation of the oscillator, is increasing
+    and concave in E, positive for every E > 0, and obeys the shift rule
+    F(E/x) <= F(E) − ℓ ln x for x in (0, 1]. So the sharpened log-shift
+    evaluation F(E) − ℓ ln(εt) may replace F(E/(εt)); it never exceeds the
+    generic one. The energy of `at` and the scale x of `log_shift_at` may be
+    ndarrays (numpy logarithms) or scalars (math logarithms).
     """
 
-    modes: HarmonicModes
+    frequencies: tuple[float, ...]
+
+    def __post_init__(self):
+        freqs = tuple(float(f) for f in self.frequencies)
+        if not freqs:
+            raise ValueError("at least one mode frequency is required")
+        if any(f <= 0 or not math.isfinite(f) for f in freqs):
+            raise ValueError("mode frequencies must be positive and finite")
+        object.__setattr__(self, "frequencies", freqs)
 
     def at(self, energy):
-        return oscillator_entropy_bound(self.modes, energy)
+        _require_positive(energy, "oscillator")
+        log = np.log if isinstance(energy, np.ndarray) else math.log
+        ell = len(self.frequencies)
+        ground = 0.5 * sum(self.frequencies)
+        scale = math.prod(self.frequencies) ** (1.0 / ell)
+        return ell * log((energy + ground) / (ell * scale)) + ell
 
     def log_shift_at(self, energy: float, x):
         if isinstance(x, np.ndarray):
@@ -84,27 +107,29 @@ class OscillatorEntropyBound:
             inside, log = 0.0 < x <= 1.0, math.log
         if not inside:
             raise ValueError("log-shift evaluation needs a scale in (0, 1]")
-        return self.at(energy) - self.modes.modes * log(x)
+        return self.at(energy) - len(self.frequencies) * log(x)
 
 
 @dataclass(frozen=True)
 class ShiftedGibbsEntropyBound:
-    """Entropy bound max_entropy(H, E + ground) for a concrete Hamiltonian.
+    """Entropy bound max_entropy(H, E + E₀) for a concrete Hamiltonian.
 
-    Valid for every E > 0 but saturates at ln(dim) once E exceeds
-    saturation_energy; past that point it remains a correct bound yet stops
-    growing, a finite-dimensional artifact worth reporting alongside values.
-    `at` takes a scalar or an array of energies, as max_entropy does.
+    A generic upper bound on max_entropy, valid for every E > 0 and positive
+    and concave below saturation_energy (the uniform-state mean less E₀);
+    past that point it remains a correct bound yet freezes at ln(dim), a
+    finite-dimensional artifact worth reporting alongside values. `at` takes
+    a scalar or an array of energies, as max_entropy does.
     """
 
     hamiltonian: Hamiltonian
 
     def at(self, energy):
-        return shifted_entropy_bound(self.hamiltonian, energy)
+        _require_positive(energy, "shifted")
+        return max_entropy(self.hamiltonian, energy + self.hamiltonian.ground_energy)
 
     @property
     def saturation_energy(self) -> float:
-        return shifted_bound_saturation(self.hamiltonian)
+        return self.hamiltonian.mean_eigenvalue - self.hamiltonian.ground_energy
 
 
 @dataclass(frozen=True)

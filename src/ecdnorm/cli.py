@@ -43,7 +43,7 @@ from .info import (
     holevo_quantity,
     mutual_information,
 )
-from .operators import DensityOperator, HermitianPreservingMap, InfeasibleProblemError
+from .operators import HermitianPreservingMap, InfeasibleProblemError
 from .serialize import (
     channel_from_json,
     channel_to_json,
@@ -55,7 +55,7 @@ from .serialize import (
     load_json,
     matrix_to_json,
 )
-from .thermo import HarmonicModes, max_entropy, solve_gibbs
+from .thermo import max_entropy, max_entropy_state, solve_gibbs
 from .zoo import (
     TruncatedOscillator,
     attenuator,
@@ -107,7 +107,7 @@ def _entropy_bound_from_spec(spec: str):
             freqs = tuple(float(x) for x in rest.split(","))
         except ValueError as exc:
             raise ValueError(f"malformed oscillator spec {spec!r}") from exc
-        return OscillatorEntropyBound(HarmonicModes(freqs))
+        return OscillatorEntropyBound(freqs)
     if kind == "shifted":
         if not rest:
             raise ValueError("shifted entropy bound needs a Hamiltonian file: shifted:PATH")
@@ -352,7 +352,7 @@ def _exp_tightness_cchi(args):
     cap_id = holevo_capacity_estimate(ident, h, args.energy, **_seeded(args))
     cap_depol = holevo_capacity_estimate(depol, h, args.energy, **_seeded(args))
     f_value = max_entropy(h, args.energy)
-    eb = OscillatorEntropyBound(HarmonicModes((1.0,)))
+    eb = OscillatorEntropyBound((1.0,))
     t_star, bv = optimize_t("cchi", 1.0, args.energy, eb)
     return {
         "capacity_identity": cap_id,
@@ -367,12 +367,7 @@ def _exp_tightness_cchi(args):
 def _exp_tightness_ea(args):
     d = args.levels
     h = TruncatedOscillator(d, 1.0).hamiltonian
-    # the constrained max-entropy input: the Gibbs state below the mean
-    # level, the uniform state once it is feasible
-    if args.energy >= h.mean_eigenvalue:
-        best = DensityOperator(np.eye(d) / d)
-    else:
-        best = solve_gibbs(h, args.energy).state
+    best = max_entropy_state(h, args.energy)
     cea_id = channel_mutual_information(identity_channel(d), best)
     cea_depol = channel_mutual_information(depolarize_to(vacuum_state(d), 1.0), best)
     f_value = max_entropy(h, args.energy)

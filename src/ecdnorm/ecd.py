@@ -12,9 +12,9 @@ proposal that does not improve, or on a stall. The upper side of the bracket
 is the cheapest of the weak-duality certificates of Watrous's SDP with the
 energy cap added (`TraceNormObjective.dual_bound`), one per input state: the
 maximally mixed state, whose member is the Choi diamond bound, the witness's
-input state and, under a cap below the mean energy, the Gibbs state at the
-budget; a channel difference adds the generic 2 and, under a cap, a
-Stinespring-alignment bound. Estimates never exceed certificates, so the
+input state and, under a cap, the max-entropy state at the budget (the
+Gibbs state below the mean energy); a channel difference adds the generic 2
+and, under a cap, a Stinespring-alignment bound. Estimates never exceed certificates, so the
 pair brackets the true norm. The unconstrained diamond norm is the member of
 the family with no energy cap, bracketed by the same routine. The factor of
 the Choi matrix behind both comes from a map's Kraus pair when it carries
@@ -44,7 +44,7 @@ from .optim import (
     energy_constrained_sup,
     multistart_ascend,
 )
-from .thermo import solve_gibbs
+from .thermo import max_entropy_state
 
 
 def _reference_dim(the_map: HermitianPreservingMap, r_dim: int | None) -> int:
@@ -211,8 +211,7 @@ def _estimate(
     input_cap = None
     if problem is not None:
         input_cap = EnergyCap(problem.h_in, 1, problem.energy)
-        if problem.energy < problem.h_in.mean_eigenvalue:
-            states.append(solve_gibbs(problem.h_in, problem.energy).state.matrix)
+        states.append(max_entropy_state(problem.h_in, problem.energy).matrix)
     upper = min(objective.dual_bound(rho, input_cap) for rho in states)
     if the_map.kraus_pair is not None:
         upper = min(upper, 2.0)

@@ -120,10 +120,6 @@ class Ensemble:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
 
-    @property
-    def dimension(self) -> int:
-        return self.states[0].dimension
-
     def average(self) -> np.ndarray:
         return sum(p * s.matrix for p, s in zip(self.probs, self.states))
 
@@ -250,9 +246,6 @@ class _EnsembleAscent:
         """χ at a point; its forward pass is kept in `last` for `grads`."""
         self.last = probs, _, _, outs, avg = self._forward(logits, psis)
         return float(_entropy_nd(avg) - probs @ _entropy_nd(outs))
-
-    def value_and_grads(self, logits, psis):
-        return self.grads(self._forward(logits, psis))
 
     def grads(self, forward):
         """χ and its gradients at the point whose `_forward` tuple is given."""

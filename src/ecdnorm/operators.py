@@ -116,10 +116,6 @@ class DensityOperator:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return _frozen(np.linalg.eigvalsh(self.matrix))
-
     @classmethod
     def pure(cls, vector) -> "DensityOperator":
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
@@ -253,12 +249,6 @@ class Channel:
     def choi(self) -> np.ndarray:
         """A fresh Choi matrix on each read; a channel keeps only its Kraus operators."""
         return choi_of(self._kraus)
-
-    def apply(self, rho) -> np.ndarray:
-        return apply_channel(self, rho)
-
-    def difference(self, other: "Channel") -> "HermitianPreservingMap":
-        return HermitianPreservingMap.difference(self, other)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Channel(in_dim={self._in_dim}, out_dim={self._out_dim}, kraus={len(self._kraus)})"

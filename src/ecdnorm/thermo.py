@@ -1,17 +1,20 @@
 """Entropy maximization under a mean-energy constraint.
 
 The Gibbs state e^{-λH}/Z maximizes von Neumann entropy among states with
-Tr[Hρ] <= E; the multiplier λ solves Tr[H e^{-λH}] = E Tr[e^{-λH}] and may be
-negative when E exceeds the uniform-state mean. All work happens on the
-eigenvalues of H with max-shifted exponentials, so no matrix exponentials are
-formed. Natural logarithms throughout.
+Tr[Hρ] = E; the multiplier λ solves Tr[H e^{-λH}] = E Tr[e^{-λH}] and is
+negative when E exceeds the uniform-state mean. Under Tr[Hρ] <= E the
+maximizer is uniform on the ground levels at the ground energy, that Gibbs
+state up to the mean and I/d from the mean up: `max_entropy` gives its
+entropy and `max_entropy_state` the state. All work happens on the
+eigenvalues of H with max-shifted exponentials, so no matrix exponentials
+are formed. Natural logarithms throughout. The entropy caps built on
+max_entropy are in `bounds`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -183,70 +186,23 @@ def max_entropy(hamiltonian: Hamiltonian, energy):
     return float(values) if e.ndim == 0 else values
 
 
-@dataclass(frozen=True)
-class HarmonicModes:
-    """Frequencies ħω_i of a multimode harmonic oscillator."""
+def max_entropy_state(hamiltonian: Hamiltonian, energy: float) -> DensityOperator:
+    """A state of largest von Neumann entropy among those with Tr[Hρ] <= energy.
 
-    frequencies: tuple[float, ...]
-
-    def __post_init__(self):
-        freqs = tuple(float(f) for f in self.frequencies)
-        if not freqs:
-            raise ValueError("at least one mode frequency is required")
-        if any(f <= 0 or not math.isfinite(f) for f in freqs):
-            raise ValueError("mode frequencies must be positive and finite")
-        object.__setattr__(self, "frequencies", freqs)
-
-    @property
-    def modes(self) -> int:
-        return len(self.frequencies)
-
-    @property
-    def ground_energy(self) -> float:
-        """Zero-point energy, half the sum of the mode frequencies."""
-        return 0.5 * sum(self.frequencies)
-
-    @property
-    def frequency_scale(self) -> float:
-        """Geometric mean of the mode frequencies."""
-        prod = reduce(lambda a, b: a * b, self.frequencies, 1.0)
-        return prod ** (1.0 / len(self.frequencies))
-
-
-def _nonpositive(energy) -> bool:
-    """energy <= 0 for a scalar; for an array, at any element."""
-    return bool(np.any(energy <= 0.0)) if isinstance(energy, np.ndarray) else energy <= 0.0
-
-
-def oscillator_entropy_bound(modes: HarmonicModes, energy):
-    """Closed-form entropy bound ℓ ln((E + E0)/(ℓ E*)) + ℓ for ℓ modes.
-
-    E0 is the zero-point energy and E* the geometric mean frequency. The
-    value dominates max_entropy of any finite truncation of the oscillator,
-    is increasing and concave in E, positive for every E > 0, and obeys
-    the shift rule bound(E/x) <= bound(E) - ℓ ln x for x in (0, 1]. energy
-    is a scalar (evaluated with math.log) or an ndarray (with np.log).
+    The three regimes of max_entropy, whose value is its entropy: within
+    DEGENERACY_GAP of the ground energy, the uniform state on the ground
+    levels; inside, the Gibbs state of solve_gibbs; from the uniform-state
+    mean up, I/d.
     """
-    if _nonpositive(energy):
-        raise ValueError(f"the oscillator entropy bound needs energy > 0, got {energy}")
-    log = np.log if isinstance(energy, np.ndarray) else math.log
-    ell = modes.modes
-    return ell * log((energy + modes.ground_energy) / (ell * modes.frequency_scale)) + ell
-
-
-def shifted_entropy_bound(hamiltonian: Hamiltonian, energy):
-    """max_entropy evaluated at energy + ground_energy.
-
-    A generic upper bound on max_entropy that is positive and concave for
-    0 < energy below the saturation point mean(eigenvalues) - ground_energy;
-    past saturation it stays a valid bound but freezes at ln(dim). energy is
-    a scalar or an array, as for max_entropy.
-    """
-    if _nonpositive(energy):
-        raise ValueError(f"the shifted entropy bound needs energy > 0, got {energy}")
-    return max_entropy(hamiltonian, energy + hamiltonian.ground_energy)
-
-
-def shifted_bound_saturation(hamiltonian: Hamiltonian) -> float:
-    """Energy at which shifted_entropy_bound freezes at ln(dim)."""
-    return hamiltonian.mean_eigenvalue - hamiltonian.ground_energy
+    e0 = hamiltonian.ground_energy
+    if energy < e0:
+        raise InfeasibleProblemError(
+            f"no state has mean energy below the ground energy {e0}, got {energy}"
+        )
+    if energy <= e0 + DEGENERACY_GAP:
+        v = hamiltonian.lowest_levels(hamiltonian.ground_multiplicity())
+        return DensityOperator(v @ v.conj().T / v.shape[1])
+    if energy >= hamiltonian.mean_eigenvalue:
+        d = hamiltonian.dimension
+        return DensityOperator(np.eye(d) / d)
+    return solve_gibbs(hamiltonian, energy).state

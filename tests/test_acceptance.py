@@ -23,7 +23,6 @@ from ecdnorm import (
     EcdProblem,
     Ensemble,
     Hamiltonian,
-    HarmonicModes,
     HermitianPreservingMap,
     OscillatorEntropyBound,
     ShiftedGibbsEntropyBound,
@@ -54,7 +53,7 @@ from ecdnorm import (
     vacuum_state,
 )
 
-OSC = OscillatorEntropyBound(HarmonicModes((1.0,)))
+OSC = OscillatorEntropyBound((1.0,))
 
 
 def test_criterion_1_estimator_matches_bruteforce_oracle():

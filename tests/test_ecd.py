@@ -184,10 +184,10 @@ def test_non_finite_budget_is_rejected(budget):
 )
 def test_non_finite_bound_inputs_are_rejected(field, value):
     args = {"epsilon": 0.1, "energy_arg": 1.0, "t": 1.0}
-    BoundInputs(**args, entropy_bound=OscillatorEntropyBound(1.0))
+    BoundInputs(**args, entropy_bound=OscillatorEntropyBound((1.0,)))
     args[field] = value
     with pytest.raises(ValueError, match="finite"):
-        BoundInputs(**args, entropy_bound=OscillatorEntropyBound(1.0))
+        BoundInputs(**args, entropy_bound=OscillatorEntropyBound((1.0,)))
 
 
 def test_first_level_seminorm_is_ground_state_norm():
@@ -293,6 +293,22 @@ def test_compressed_difference_keeps_its_kraus_pair():
     small = ecd._compressed_map(the_map, v)
     assert small.kraus_pair is not None
     assert np.abs(small.choi - ecd._compressed_choi(the_map, v)).max() < 1e-14
+
+
+def test_compressed_map_without_a_kraus_pair_takes_the_choi_route():
+    """A map with no Kraus pair (a `.scaled` copy) is compressed through its
+    Choi matrix, and agrees with the Kraus-pair route of the same map."""
+    the_map = HermitianPreservingMap.difference(attenuator(6, 0.70), attenuator(6, 0.69))
+    bare = the_map.scaled(1.0)
+    assert bare.kraus_pair is None
+    h = TruncatedOscillator(6).hamiltonian
+    for n in (2, 4):
+        v = h.lowest_levels(n)
+        small = ecd._compressed_map(bare, v)
+        assert small.kraus_pair is None
+        assert np.abs(small.choi - ecd._compressed_map(the_map, v).choi).max() < 1e-12
+        via_choi = truncation_norm_bound(bare, h, 1.5, n)
+        assert abs(via_choi - truncation_norm_bound(the_map, h, 1.5, n)) < 1e-9
 
 
 def test_truncation_norm_bound_validation():

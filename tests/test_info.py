@@ -388,10 +388,10 @@ def _ascent_cases():
 
 
 def test_ensemble_ascent_gradients_match_finite_differences():
-    """value_and_grads returns χ of the projected output ensemble and its
-    gradients there: in the logits through the softmax, and in the complex
-    states (df = Re⟨g, δ⟩), with the projected states held fixed. Checked by
-    central differences of an independent Kraus-route χ."""
+    """`grads` of a `_forward` pass returns χ of the projected output
+    ensemble and its gradients there: in the logits through the softmax, and
+    in the complex states (df = Re⟨g, δ⟩), with the projected states held
+    fixed. Checked by central differences of an independent Kraus-route χ."""
     step = 1e-6
     for ascent, channel, logits, psis in _ascent_cases():
         probs = _softmax(logits)
@@ -399,7 +399,7 @@ def test_ensemble_ascent_gradients_match_finite_differences():
         states = ascent._project(unit, probs)
         # the start is over the budget, so the projection moved every state
         assert np.abs(states - unit).max(axis=1).min() > 1e-3
-        chi, g_logits, g_psis = ascent.value_and_grads(logits, psis)
+        chi, g_logits, g_psis = ascent.grads(ascent._forward(logits, psis))
         ensemble = Ensemble(tuple(probs), tuple(DensityOperator.pure(s) for s in states))
         assert abs(chi - holevo_quantity(ensemble.map_through(channel))) < 1e-12
         assert abs(ascent.value(logits, psis) - chi) < 1e-12
@@ -446,7 +446,7 @@ def test_ensemble_ascent_eigensolve_count(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
     for ascent, _, logits, psis in cases:
         calls = 0
-        ascent.value_and_grads(logits, psis)
+        ascent.grads(ascent._forward(logits, psis))
         assert calls == 2
         calls = 0
         ascent.value(logits, psis)
@@ -546,7 +546,7 @@ def _full_halving_estimate(channel, h, budget, restarts, max_iter):
         alpha = 0.25
         history = [f]
         for _ in range(max_iter):
-            f_cur, g_logits, g_psis = problem.value_and_grads(logits, psis)
+            f_cur, g_logits, g_psis = problem.grads(problem._forward(logits, psis))
             f = max(f, f_cur)
             scale = max(np.linalg.norm(g_logits), np.max(np.linalg.norm(g_psis, axis=1)), 1e-30)
             moved = False

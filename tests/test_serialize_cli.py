@@ -16,12 +16,10 @@ from ecdnorm import (
     DensityOperator,
     Hamiltonian,
     OscillatorEntropyBound,
-    HarmonicModes,
     attenuator,
     holevo_quantity_bound,
     max_entropy,
     optimize_t,
-    oscillator_entropy_bound,
 )
 from ecdnorm.serialize import (
     channel_from_json,
@@ -245,7 +243,7 @@ def test_cli_optimize_t_matches_module(workdir):
     res = run_cli("optimize-t", "chi", "--eps", "0.05", "--energy", "2.0", "--fhat", "osc:1")
     assert res.returncode == 0
     doc = json.loads(res.stdout)
-    t_star, bv = optimize_t("chi", 0.05, 2.0, OscillatorEntropyBound(HarmonicModes((1.0,))))
+    t_star, bv = optimize_t("chi", 0.05, 2.0, OscillatorEntropyBound((1.0,)))
     assert doc["result"]["t_used"] == t_star
     assert doc["result"]["total"] == bv.total
 
@@ -280,7 +278,7 @@ def test_cli_bound_fixed_t_and_sweep(workdir):
     assert cols == ["t", "total", "main", "g", "h2"]
     assert len(lines) == len(header) + 1 + 12
     # every row agrees with the scalar bound at its t
-    osc = OscillatorEntropyBound(HarmonicModes((1.0,)))
+    osc = OscillatorEntropyBound((1.0,))
     for line in lines[len(header) + 1 :]:
         t, total, main, g_term, h_term = (float(cell) for cell in line.split(","))
         val = holevo_quantity_bound(BoundInputs(0.1, 1.0, t, osc))
@@ -307,11 +305,11 @@ def test_cli_fbound_values(workdir):
     lines = [ln for ln in res.stdout.strip().split("\n") if not ln.startswith("# ")]
     assert lines[0] == "energy,max_entropy,entropy_bound"
     h = hamiltonian_from_json(json.loads((workdir / "h.json").read_text()))
-    modes = HarmonicModes((1.0,))
+    osc = OscillatorEntropyBound((1.0,))
     for line in lines[1:]:
         e, cap, bound = (float(cell) for cell in line.split(","))
         assert cap == max_entropy(h, e)
-        assert abs(bound - oscillator_entropy_bound(modes, e)) <= 1e-13 * abs(bound)
+        assert abs(bound - osc.at(e)) <= 1e-13 * abs(bound)
 
 
 def test_cli_qn_command(workdir):
@@ -367,6 +365,17 @@ def test_tightness_ea_above_the_mean_energy_uses_the_uniform_input(energy):
     assert abs(result["twice_max_entropy"] - 2.0 * math.log(8)) < 1e-12
     assert abs(result["ea_identity"] - result["twice_max_entropy"]) < 1e-9
     assert result["ea_depolarizer"] < 1e-9
+
+
+def test_tightness_ea_at_the_ground_energy():
+    """E = E₀ is a feasible budget: the max-entropy input is the ground
+    state, a pure state, so both informations and the entropy are 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["experiment", "tightness-ea", "--levels", "8", "--energy", "0.5"])
+    assert code == 0
+    result = json.loads(out.getvalue())["result"]
+    assert result == {"ea_depolarizer": 0.0, "ea_identity": 0.0, "twice_max_entropy": 0.0}
 
 
 def test_cli_main_reuses_one_parser(workdir, monkeypatch, capsys):

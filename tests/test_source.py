@@ -1,9 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every name the package exports exists, once."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import ecdnorm
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ecdnorm"
 
@@ -37,3 +41,9 @@ def test_the_check_finds_an_unused_import():
 )
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_export_resolves_once():
+    """A stale entry of __all__ would break only `from ecdnorm import *`."""
+    assert [n for n, k in Counter(ecdnorm.__all__).items() if k > 1] == []
+    assert [n for n in ecdnorm.__all__ if not hasattr(ecdnorm, n)] == []

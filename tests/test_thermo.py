@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import ginibre_density, simplex_max_entropy
+from ecdnorm.operators import DEGENERACY_GAP
 from ecdnorm import (
     Hamiltonian,
-    HarmonicModes,
     InfeasibleProblemError,
+    OscillatorEntropyBound,
+    ShiftedGibbsEntropyBound,
     TruncatedOscillator,
     energy,
     entropy,
@@ -17,9 +19,7 @@ from ecdnorm import (
     gibbs_multiplier,
     h2,
     max_entropy,
-    oscillator_entropy_bound,
-    shifted_bound_saturation,
-    shifted_entropy_bound,
+    max_entropy_state,
     solve_gibbs,
 )
 
@@ -224,60 +224,85 @@ def test_max_entropy_matches_simplex_grid():
         assert abs(a - b) < 1e-4
 
 
+def test_max_entropy_state_attains_max_entropy():
+    """The state has entropy max_entropy(h, E) in each regime, meets the
+    budget, and inside is the state solve_gibbs builds, bit for bit."""
+    rng = np.random.default_rng(31)
+    z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    basis = np.linalg.qr(z)[0]
+    for h in (TruncatedOscillator(6).hamiltonian, Hamiltonian([0.4, 0.4, 1.1, 2.0, 3.5], basis)):
+        e0, mean = h.ground_energy, h.mean_eigenvalue
+        inner = 0.5 * (e0 + mean)
+        for e in (e0, e0 + 0.5 * DEGENERACY_GAP, inner, mean, mean + 0.7):
+            rho = max_entropy_state(h, e)
+            assert abs(entropy(rho) - max_entropy(h, e)) < 1e-9
+            assert energy(rho, h) <= e + DEGENERACY_GAP
+        gibbs = solve_gibbs(h, inner).state.matrix
+        assert np.array_equal(max_entropy_state(h, inner).matrix, gibbs)
+        uniform = np.eye(h.dimension) / h.dimension
+        assert np.array_equal(max_entropy_state(h, mean).matrix, uniform)
+        with pytest.raises(InfeasibleProblemError):
+            max_entropy_state(h, e0 - 0.1)
+
+
 def test_oscillator_entropy_bound_values():
-    modes = HarmonicModes((1.0,))
-    assert abs(modes.ground_energy - 0.5) < 1e-15
-    assert abs(oscillator_entropy_bound(modes, 1.0) - 1.4054651081081644) < 1e-14
+    osc = OscillatorEntropyBound((1.0,))
+    # at E = 0.5 = E₀ the argument of the log is 1
+    assert abs(osc.at(0.5) - 1.0) < 1e-15
+    assert abs(osc.at(1.0) - 1.4054651081081644) < 1e-14
     with pytest.raises(ValueError):
-        oscillator_entropy_bound(modes, 0.0)
+        osc.at(0.0)
     with pytest.raises(ValueError):
-        HarmonicModes(())
+        OscillatorEntropyBound(())
     with pytest.raises(ValueError):
-        HarmonicModes((0.0,))
+        OscillatorEntropyBound((0.0,))
 
 
 def test_oscillator_bound_dominates_truncations():
-    modes = HarmonicModes((1.0,))
+    osc = OscillatorEntropyBound((1.0,))
     for levels in (4, 8, 16):
         h = TruncatedOscillator(levels).hamiltonian
         for e in (0.8, 1.5, 3.0):
             if e <= h.eigenvalues[0]:
                 continue
-            assert oscillator_entropy_bound(modes, e) >= max_entropy(h, e) - 1e-10
+            assert osc.at(e) >= max_entropy(h, e) - 1e-10
 
 
 def test_oscillator_bound_shape_and_log_shift_rule():
-    modes = HarmonicModes((1.0, 2.0))
+    osc = OscillatorEntropyBound((1.0, 2.0))
     es = np.linspace(0.2, 12.0, 50)
-    vals = np.array([oscillator_entropy_bound(modes, e) for e in es])
+    vals = np.array([osc.at(e) for e in es])
     assert np.all(np.diff(vals) > 0.0)
     assert np.all(np.diff(vals, 2) <= 1e-10)
     # fhat(E/x) <= fhat(E) - l*log(x) for scales x in (0, 1]
     ell = 2
     for e in (0.5, 2.0, 9.0):
         for x in (1.0, 0.7, 0.2, 0.01):
-            lhs = oscillator_entropy_bound(modes, e / x)
-            rhs = oscillator_entropy_bound(modes, e) - ell * math.log(x)
+            lhs = osc.at(e / x)
+            rhs = osc.at(e) - ell * math.log(x)
             assert lhs <= rhs + 1e-12
 
 
 def test_harmonic_modes_frequency_scale():
-    modes = HarmonicModes((1.0, 4.0))
-    assert abs(modes.frequency_scale - 2.0) < 1e-14
-    assert abs(modes.ground_energy - 2.5) < 1e-14
+    """Modes (1, 4): E₀ = ½(1 + 4) = 2.5 and E* = √(1·4) = 2 in the closed
+    form 2 ln((E + E₀)/(2E*)) + 2."""
+    osc = OscillatorEntropyBound((1.0, 4.0))
+    for e in (0.5, 1.5, 6.0):
+        assert abs(osc.at(e) - (2.0 * math.log((e + 2.5) / (2.0 * 2.0)) + 2.0)) < 1e-14
 
 
 def test_shifted_entropy_bound():
     ev = np.array([0.3, 0.8, 1.5, 2.9])
     h = Hamiltonian(ev)
+    cap = ShiftedGibbsEntropyBound(h)
     for e in np.linspace(0.05, 3.0, 25):
-        b = shifted_entropy_bound(h, e)
+        b = cap.at(e)
         shifted = e + ev[0]
         if shifted > ev[0]:
             assert b >= max_entropy(h, min(shifted, ev[-1] - 1e-9)) - 1e-9
-    sat = shifted_bound_saturation(h)
+    sat = cap.saturation_energy
     assert h.mean_eigenvalue == float(ev.mean())
     assert abs(sat - (ev.mean() - ev[0])) < 1e-12
-    assert abs(shifted_entropy_bound(h, sat + 0.5) - math.log(4.0)) < 1e-12
+    assert abs(cap.at(sat + 0.5) - math.log(4.0)) < 1e-12
     with pytest.raises(ValueError):
-        shifted_entropy_bound(h, 0.0)
+        cap.at(0.0)
