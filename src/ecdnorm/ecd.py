@@ -211,7 +211,9 @@ def _estimate(
     input_cap = None
     if problem is not None:
         input_cap = EnergyCap(problem.h_in, 1, problem.energy)
-        states.append(max_entropy_state(problem.h_in, problem.energy).matrix)
+        # from the mean energy up the max-entropy state is I/d, the first state
+        if problem.energy < problem.h_in.mean_eigenvalue:
+            states.append(max_entropy_state(problem.h_in, problem.energy).matrix)
     upper = min(objective.dual_bound(rho, input_cap) for rho in states)
     if the_map.kraus_pair is not None:
         upper = min(upper, 2.0)
@@ -300,7 +302,12 @@ def state_truncation_bound(rho: DensityOperator, h_in: Hamiltonian, n: int) -> S
     v = h_in.lowest_levels(n)
     proj = tensor(v @ v.conj().T, np.eye(r_dim))
     kept = float(np.trace(proj @ rho.matrix).real)
-    tail = min(1.0, max(0.0, 1.0 - kept))
+    # the weight of the complement block itself: 1 − kept rounds to 0 well
+    # before the tail stops moving the state
+    rest = h_in.eigenbasis[:, n:]
+    blocks = rho.matrix.reshape(d, r_dim, d, r_dim)
+    tail = float(np.einsum("ia,irjr,ja->", rest.conj(), blocks, rest).real)
+    tail = min(1.0, max(0.0, tail))
     if kept <= 1e-12:
         raise ValueError("state carries no weight on the retained levels")
     compressed = proj @ rho.matrix @ proj

@@ -10,8 +10,9 @@ factor and a sign matrix's pull-back are one GEMM each; deterministic
 multi-starts; a golden-section search; and one solver for maximizing a
 linear functional over energy-bounded states: the one-dimensional dual
 min_{μ≥0} λmax(G − μK) + μE, minimized by safeguarded Newton steps on
-Danskin's derivative E − ⟨v|K|v⟩ inside the closed-form bracket [0, μ_max],
-which returns the maximizing state as well; the capped proposal, the dual
+Danskin's derivative E − ⟨v|K|v⟩ inside the closed-form bracket [0, μ_max]
+and stopped on its duality gap, the least dual value less the value of the
+feasible state it returns with it; the capped proposal, the dual
 certificates of `TraceNormObjective.dual_bound` and `energy_constrained_sup`
 all use it.
 """
@@ -118,6 +119,8 @@ class EnergyCap:
         self._r_dim = int(r_dim)
         self._h_kron = None
         self.budget = float(budget)
+        # a vector aimed this far below the budget stays within it after rounding
+        self._slack = min(0.5e-12 * max(1.0, self.budget), 0.5 * (self.budget - self._e0))
 
     def kron_matrix(self) -> np.ndarray:
         """Dense H ⊗ I_R, built lazily for the capped surrogate maximization."""
@@ -146,8 +149,7 @@ class EnergyCap:
         rhat = np.where(dead, np.eye(self._r_dim)[0], profiles / np.maximum(rn, 1e-12))
         c = np.where(dead[:, 0], profiles[:, 0].real, rn[:, 0])
         ground = self._tau0[None, :, None] * rhat[:, None, :]
-        slack = min(0.5e-12 * max(1.0, self.budget), 0.5 * (self.budget - self._e0))
-        q = weights @ (a - self._e0) / (self.budget - slack - self._e0) - 1.0
+        q = weights @ (a - self._e0) / (self.budget - self._slack - self._e0) - 1.0
         mixed = blocks + (q / (c + np.sqrt(c * c + q)))[:, None, None] * ground
         mixed /= np.linalg.norm(mixed, axis=(1, 2), keepdims=True)
         if weights @ self._energies(mixed) <= self.budget:
@@ -289,7 +291,7 @@ class TraceNormObjective:
         least = min(
             np.linalg.eigvalsh(core + np.diag(t * self._w)).min(initial=0.0) for t in (1, -1)
         )
-        value = np.linalg.eigvalsh(g)[-1] if cap is None else _energy_dual(g.T, cap, 0.0, 1e-12)[1]
+        value = np.linalg.eigvalsh(g)[-1] if cap is None else _energy_dual(g.T, cap, 0.0, 1e-14)[1]
         return float(value) - self.out_dim * float(least) + self._dropped
 
 
@@ -387,7 +389,7 @@ class _DualPoint:
         return abs(self.slope) / self.curv
 
 
-def _energy_dual(g: np.ndarray, cap: EnergyCap, mu_hint: float, rtol: float):
+def _energy_dual(g: np.ndarray, cap: EnergyCap, mu_hint: float, gap: float):
     """Maximize ⟨x|G|x⟩ over unit x with ⟨x|K|x⟩ ≤ E (K = H ⊗ I_R, E the
     cap's) through the convex dual φ(μ) = λmax(G − μK) + μE over μ ≥ 0.
 
@@ -398,17 +400,26 @@ def _energy_dual(g: np.ndarray, cap: EnergyCap, mu_hint: float, rtol: float):
     φ' = E − ⟨v|K|v⟩); a point at μ ≥ μ_max is an upper end whatever its
     rounded slope. A Newton step that stays inside the bracket (0 and μ_max
     stand in for ends not yet evaluated) and is at most half the last is
-    taken; otherwise a missing end is evaluated, else the tangents at lo and
-    hi are intersected, and a tangent step that fails to halve the bracket
-    gives way to bisection. Stops when hi − lo ≤ rtol·max(1, hi), when the
-    tangents certify φ to 1e-14 relative (a kink), or at μ = 0 as upper end.
+    taken, aimed 1e-3 of its length past the predicted root so that the
+    next point lands on the far side and closes the bracket; otherwise a
+    missing end is evaluated, else the tangents at lo and hi are
+    intersected, and a tangent step that fails to halve the bracket gives
+    way to bisection.
 
-    Returns (μ, φ(μ), x): μ is the evaluated point with the lowest φ; x is
-    the best vector within the budget in the span of the top eigenvectors at
-    lo and hi (`_best_in_span`), which attains the tangents' lower bound on
-    min φ, or with μ = 0 optimal the top eigenvector there (x₀ if that is
-    over the budget, which only μ_max = 0 allows); the cap projects x should
-    rounding leave it over.
+    Stops on the duality gap: once the least φ evaluated exceeds the value
+    of the x it would return by at most gap·max(1, |φ|). That x is hi's top
+    vector, within the budget as φ'(hi) ≥ 0, of value φ(hi) − μ_hi·φ'(hi)
+    (all of φ at μ = 0), or, when the tangents at lo and hi meet higher, the
+    best vector within the budget in the span of the two top vectors
+    (`_best_in_span`), which attains at least that floor: the dual of the
+    two-level problem is convex, below φ and touches it at lo and hi. Its
+    aim is the budget less the cap's slack, so rounding leaves it within the
+    budget; the cap projects it only should it not. A bracket narrower than
+    1e-12·max(1, hi) ends the loop as well, where rounding hides the gap.
+
+    Returns (μ, φ(μ), x, ⟨x|G|x⟩): μ is the evaluated point with the lowest
+    φ, and x is x₀ when no evaluated point is within the budget, which only
+    μ_max = 0 allows.
     """
     k = cap.kron_matrix()
     budget = cap.budget
@@ -422,28 +433,26 @@ def _energy_dual(g: np.ndarray, cap: EnergyCap, mu_hint: float, rtol: float):
     for _ in range(DUAL_MAX_EVALS):
         if p.slope >= 0.0 or p.mu >= mu_max:
             hi = p
-            if p.mu == 0.0:
-                break
         else:
             lo = p
         a = 0.0 if lo is None else lo.mu
         b = mu_max if hi is None else hi.mu
         width = b - a
-        tol = 0.0
+        least = min(q.phi for q in (lo, hi) if q is not None)
+        # the value of hi's top vector, feasible where φ'(hi) ≥ 0
+        alone = hi.phi - hi.mu * hi.slope if hi is not None and hi.slope >= 0.0 else -np.inf
+        floor, tol = -np.inf, 0.0
         if lo is not None and hi is not None:
-            tol = rtol * max(1.0, b)
-            if width <= tol:
-                break
+            tol = 1e-12 * max(1.0, b)
             cut = (hi.phi - lo.phi + lo.slope * a - hi.slope * b) / (lo.slope - hi.slope)
             cut = min(max(cut, a), b)
             floor = lo.phi + lo.slope * (cut - a)
-            least = min(lo.phi, hi.phi)
-            if least - floor <= 1e-14 * max(1.0, abs(least)):
-                break
-        newton = p.newton()
-        mu = p.mu + newton if p is lo else p.mu - newton
-        if a < mu < b and newton <= 0.5 * last:
-            last = newton
+        if least - max(alone, floor) <= gap * max(1.0, abs(least)) or width <= tol:
+            break
+        step = 1.001 * p.newton()
+        mu = p.mu + step if p is lo else p.mu - step
+        if a < mu < b and step <= 0.5 * last:
+            last = step
             tangent_width = None
         elif lo is None:
             mu = 0.0
@@ -458,13 +467,13 @@ def _energy_dual(g: np.ndarray, cap: EnergyCap, mu_hint: float, rtol: float):
         mu = min(max(mu, a + 0.5 * tol), b - 0.5 * tol)
         p = _DualPoint(g, k, budget, mu)
     best = min((q for q in (lo, hi) if q is not None), key=lambda q: q.phi)
-    if lo is not None:
-        x = _best_in_span(lo.top, hi.top, g, k, budget)
+    if lo is not None and floor > alone:
+        x = _best_in_span(lo.top, hi.top, g, k, budget - cap._slack)
     else:
         x = hi.top if hi.slope >= 0.0 else x0
     if cap.energy(x) > budget:
         x = cap(x)
-    return best.mu, best.phi, x
+    return best.mu, best.phi, x, float(np.vdot(x, g @ x).real)
 
 
 def _best_in_span(a: np.ndarray, b: np.ndarray, g: np.ndarray, k: np.ndarray, budget: float):
@@ -521,13 +530,16 @@ def _capped_proposal(objective, cap, mu_hint: float):
     one GEMM (`surrogate_matrix`), so its maximum over unit vectors
     with ⟨ψ|(H⊗I)|ψ⟩ ≤ E is the one-dimensional dual
     min_{μ≥0} λmax(G − μH⊗I) + μE, solved by `_energy_dual` from the warm
-    start mu_hint, which also returns the feasible maximizer. It attains the
-    dual value up to the solver's final gap, so the proposal never scores
-    below the current point. Only worth the dense eigensolves at small
-    dimension, hence the gate in `ascend`.
+    start mu_hint, which also returns the feasible maximizer. The dual stops
+    once that vector's surrogate value is within 1e-10·max(1, |φ|) of the
+    least dual value φ, so the proposal never scores below the current
+    point by more than that. Returns (vector, its surrogate value ⟨x|G|x⟩
+    from the G built here, μ), so the ascent screens it without another
+    `sign_value`. Only worth the dense eigensolves at small dimension, hence
+    the gate in `ascend`.
     """
-    mu, _, best = _energy_dual(objective.surrogate_matrix(), cap, mu_hint, 1e-8)
-    return best, mu
+    mu, _, best, value = _energy_dual(objective.surrogate_matrix(), cap, mu_hint, 1e-10)
+    return best, value, mu
 
 
 def ascend(
@@ -546,10 +558,12 @@ def ascend(
     stops once its top Ritz pair has converged (`_lanczos_top`). Candidates
     are screened once with the linearized value, which lower-bounds the true
     objective, so every accepted step improves and costs one
-    eigendecomposition of the output. Stops at the first candidate that does
-    not improve (for the gradient step, once its length is below 1e-13), when
-    the gain over STALL_WINDOW iterations is below STALL_REL_TOL relative, or
-    at max_iter.
+    eigendecomposition of the output; the capped proposal, whose dual stops
+    on its duality gap, is feasible as returned and brings that value, read
+    from its G, with it. Stops at the first candidate that does not improve
+    (for the gradient step, once its length is below 1e-13), when the gain
+    over STALL_WINDOW iterations is below STALL_REL_TOL relative, or at
+    max_iter.
     """
     psi = normalize(np.asarray(start, dtype=np.complex128).reshape(-1))
     if project is not None:
@@ -574,10 +588,13 @@ def ascend(
             alpha = min(alpha * 1.3, 32.0)
         else:
             if dense_cap:
-                cand, mu_hint = _capped_proposal(objective, project, mu_hint)
+                cand, value, mu_hint = _capped_proposal(objective, project, mu_hint)
             else:
                 cand = _lanczos_top(objective.apply_sign, psi, 0.5 * grad)
-            if cand is None or objective.sign_value(cand) <= f:
+                if cand is None:
+                    break
+                value = objective.sign_value(cand)
+            if value <= f:
                 break
         psi = cand
         f, grad = objective.value_and_grad(psi)
@@ -639,12 +656,13 @@ class EnergyConstrainedSup:
     """Exact value of max Tr[Mρ] over states with Tr[Hρ] <= budget.
 
     value comes from the dual min_{μ>=0} λmax(M - μH) + μ·budget, which is
-    tight here, solved by `_energy_dual` on its closed-form bracket to a
-    width of 1e-12·max(1, μ); multiplier is the minimizing μ, at which the
-    dual function rechecks value as an upper bound. state is `_energy_dual`'s
-    feasible pure maximizer, a primal certificate; attained is its objective
-    value, so value - attained, the duality gap, is about 1e-9·max(1, |value|)
-    at most.
+    tight here, solved by `_energy_dual` on its closed-form bracket until
+    the duality gap is at most 1e-14·max(1, |value|), or until rounding
+    hides it (a bracket of width 1e-12·max(1, μ)); multiplier is the
+    minimizing μ, at which the dual function rechecks value as an upper
+    bound. state is `_energy_dual`'s feasible pure maximizer, a primal
+    certificate; attained is its objective value, so value - attained, the
+    duality gap, is about 1e-9·max(1, |value|) at most.
     """
 
     value: float
@@ -658,7 +676,6 @@ def energy_constrained_sup(
 ) -> EnergyConstrainedSup:
     cap = EnergyCap(hamiltonian, 1, budget)
     m = 0.5 * (m + m.conj().T)
-    mu, value, top = _energy_dual(m, cap, 0.0, 1e-12)
+    mu, value, top, attained = _energy_dual(m, cap, 0.0, 1e-14)
     state = np.outer(top, top.conj())
-    attained = float(np.vdot(top, m @ top).real)
     return EnergyConstrainedSup(value=value, state=state, attained=attained, multiplier=mu)

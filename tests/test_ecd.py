@@ -246,6 +246,56 @@ def test_state_truncation_qutrit_tail():
     assert abs(np.trace(cut.truncated_state.matrix) - 1.0) < 1e-12
 
 
+def test_state_truncation_at_rounding_level_tails():
+    """Pure states whose level weights decay like exp(−c·k), c in [5, 40],
+    cut to n = d − 1 levels: many tails lie below 1e-16, where 1 − Tr(Pρ)
+    rounds to 0, while the trace distance 2√tail is above 1e-9. The tail is
+    read from the dropped block, so the bound still covers the distance."""
+    rng = np.random.default_rng(4242)
+    rounding_level = 0
+    for _ in range(600):
+        d, r, c = int(rng.integers(2, 9)), int(rng.integers(1, 4)), rng.uniform(5.0, 40.0)
+        z = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        rows = np.exp(-0.5 * c * np.arange(d))[:, None] * z
+        tail = np.linalg.norm(rows[-1]) ** 2 / np.linalg.norm(rows) ** 2
+        rounding_level += tail < 1e-16 and 2.0 * math.sqrt(tail) > 1e-9
+        rho = DensityOperator.pure(rows.reshape(-1))
+        cut = state_truncation_bound(rho, Hamiltonian(np.arange(d) + 0.5), d - 1)
+        assert abs(cut.tail_weight - tail) <= 1e-12 * tail + 1e-300
+        assert cut.trace_distance <= cut.bound + 1e-9
+    assert rounding_level >= 20
+
+
+def test_estimate_reads_the_maximally_mixed_certificate_once(monkeypatch):
+    """From the mean energy up the max-entropy state is I/d, already the
+    first input state of the bracket's dual bounds, so `dual_bound` runs
+    twice (I/d and the witness's input), and the certificate it would have
+    repeated is bit for bit the one at I/d. Below the mean it runs three
+    times."""
+    rng = np.random.default_rng(50)
+    the_map, _, _ = _random_difference(rng, 3)
+    the_map = HermitianPreservingMap(the_map.choi, 3, 3)  # no Kraus pair: only dual bounds
+    h = Hamiltonian([0.0, 1.0, 2.0])
+    values = []
+    dual_bound = ecd.TraceNormObjective.dual_bound
+
+    def recording(self, rho, cap=None):
+        values.append(dual_bound(self, rho, cap))
+        return values[-1]
+
+    monkeypatch.setattr(ecd.TraceNormObjective, "dual_bound", recording)
+    for energy, calls in ((0.6, 3), (1.0, 2), (1.7, 2)):
+        values.clear()
+        est = estimate_ecd_norm(EcdProblem(the_map, h, energy, r_dim=3), restarts=2, seed=0, max_iter=30)
+        assert len(values) == calls
+        assert est.upper == min(values)
+        if calls == 2:
+            objective = ecd._objective(the_map, 3)
+            cap = EnergyCap(h, 1, energy)
+            repeated = dual_bound(objective, ecd.max_entropy_state(h, energy).matrix, cap)
+            assert repeated == values[0]
+
+
 def test_state_truncation_energy_controls_tail():
     rng = np.random.default_rng(48)
     ev = np.array([0.0, 0.5, 1.4, 2.6, 4.0])

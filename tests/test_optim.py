@@ -401,7 +401,7 @@ def test_capped_proposal_is_feasible_and_improving():
     for obj, cap, budget, dim, f in _capped_cases():
         v = haar_vector(rng, dim)
         np.testing.assert_allclose(obj.surrogate_matrix() @ v, obj.apply_sign(v), atol=1e-12)
-        cand, mu = _capped_proposal(obj, cap, 0.0)
+        cand, _, mu = _capped_proposal(obj, cap, 0.0)
         assert mu >= 0.0
         assert cand is not None
         assert abs(np.linalg.norm(cand) - 1.0) < 1e-9
@@ -471,10 +471,10 @@ def test_capped_proposals_never_score_below_current_point(monkeypatch):
         return out
 
     def recording_proposal(objective, cap, mu_hint):
-        cand, mu = proposal(objective, cap, mu_hint)
+        cand, value, mu = proposal(objective, cap, mu_hint)
         if cand is not None:
             shortfalls.append(last["f"] - objective.sign_value(cand))
-        return cand, mu
+        return cand, value, mu
 
     monkeypatch.setattr(TraceNormObjective, "value_and_grad", recording_value_and_grad)
     monkeypatch.setattr(optim, "_capped_proposal", recording_proposal)
@@ -484,6 +484,89 @@ def test_capped_proposals_never_score_below_current_point(monkeypatch):
     estimate_ecd_norm(problem, restarts=1, seed=0, max_iter=15)
     assert shortfalls
     assert max(shortfalls) <= 1e-9, sorted(shortfalls)[-5:]
+
+
+def _oscillator_dual_cases():
+    """(G, cap): a random Hermitian G on n = d·r = 4…16 and the oscillator
+    cap H ⊗ I_r with H = TruncatedOscillator(d, 1), the budget strictly
+    between the ground and the mean energy."""
+    rng = np.random.default_rng(371)
+    for d, r in [(4, 1), (2, 2), (5, 1), (3, 2), (8, 1), (4, 2), (3, 3), (2, 5), (6, 2), (4, 4), (16, 1)]:
+        h = TruncatedOscillator(d, 1.0).hamiltonian
+        for _ in range(6):
+            z = rng.standard_normal((d * r, d * r)) + 1j * rng.standard_normal((d * r, d * r))
+            budget = h.ground_energy + rng.uniform(0.05, 0.95) * (h.mean_eigenvalue - h.ground_energy)
+            yield 0.5 * (z + z.conj().T), EnergyCap(h, r, budget)
+
+
+def test_energy_dual_returns_a_feasible_vector_within_its_gap(monkeypatch):
+    """`_energy_dual`'s x meets the budget without going through the cap, and
+    the dual at its multiplier, rechecked with `eigvalsh`, is at most the gap
+    tolerance above ⟨x|G|x⟩, which is the value it returns."""
+    gap = 1e-10
+    projections = []
+    call = EnergyCap.__call__
+
+    def recording_call(self, psi):
+        projections.append(1)
+        return call(self, psi)
+
+    monkeypatch.setattr(EnergyCap, "__call__", recording_call)
+    cases = 0
+    for g, cap in _oscillator_dual_cases():
+        mu, phi, x, value = optim._energy_dual(g, cap, 0.0, gap)
+        k = cap.kron_matrix()
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        assert np.vdot(x, k @ x).real <= cap.budget
+        assert cap.energy(x) <= cap.budget
+        assert value == float(np.vdot(x, g @ x).real)
+        dual = float(np.linalg.eigvalsh(g - mu * k)[-1]) + mu * cap.budget
+        assert dual - value <= gap * max(1.0, abs(dual)), (dual, value)
+        assert abs(dual - phi) <= 1e-12 * max(1.0, abs(dual))
+        cases += 1
+    assert cases == 66
+    assert not projections
+
+
+def test_capped_proposal_value_is_the_sign_value():
+    """The value `_capped_proposal` returns, read from the G it built, is the
+    surrogate value `sign_value` of its vector."""
+    for obj, cap, _, _, _ in _capped_cases():
+        cand, value, _ = _capped_proposal(obj, cap, 0.0)
+        want = obj.sign_value(cand)
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (value, want)
+
+
+@pytest.mark.parametrize("energy", [2.0, 3.0])
+def test_capped_proposal_evaluations_along_the_pair_bracket(monkeypatch, energy):
+    """Along the bracket of the 0.70/0.69 attenuator pair at 8 levels (r = 8),
+    the warm-started dual of a capped proposal takes at most 3 eigensolves of
+    G − μK on average."""
+    counts = {"points": 0, "proposals": 0}
+    point_init = optim._DualPoint.__init__
+    proposal = optim._capped_proposal
+    inside = []
+
+    def counted_point(self, *args):
+        counts["points"] += bool(inside)  # the certificates' duals are not counted
+        point_init(self, *args)
+
+    def counted_proposal(*args):
+        counts["proposals"] += 1
+        inside.append(1)
+        try:
+            return proposal(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(optim._DualPoint, "__init__", counted_point)
+    monkeypatch.setattr(optim, "_capped_proposal", counted_proposal)
+    d = 8
+    diff = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
+    problem = EcdProblem(diff, TruncatedOscillator(d, 1.0).hamiltonian, energy, r_dim=8)
+    estimate_ecd_norm(problem, restarts=1, seed=0, max_iter=15)
+    assert counts["proposals"] >= 5
+    assert counts["points"] / counts["proposals"] <= 3.0, counts
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,10 @@ of the 0.70/0.69 attenuator pair at 8, 16 and 24 levels (`constructor_s`);
 and the per-call time of one capped proposal (`optim._capped_proposal`) on
 that pair at 8 levels (r = 8) and on a random d = 4, r = 2 difference, after
 a first call that builds what the objective keeps (`capped_proposal_s`); and
+the time of one capped ascent (`optim.ascend` from start 1 under the same
+caps, 15 iterations, the capped proposal) on those two problems, with a
+fresh objective per run and the number of `_DualPoint` evaluations, the
+eigensolves of the energy dual, it made (`capped_ascent_s`); and
 the time of one uncapped ascent (`optim.ascend` from start 0, 15 iterations,
 the Lanczos proposal) on that pair at 16 levels (r = 16), with the number of
 `apply_sign` calls it made (`uncapped_ascent_s`); and the time of one
@@ -96,7 +100,7 @@ for d in (8, 16, 24):
 print(json.dumps(out))
 """
 
-CAPPED = """
+CAPPED_PROBLEMS = """
 import json, statistics, sys, time
 import numpy as np
 sys.path.insert(0, "src")
@@ -115,6 +119,9 @@ problems = {  # name: (map, r, energy budget on the levels 0.5, 1.5, ...)
     "random-d4r2": (HermitianPreservingMap.difference(random_channel(rng, 4), random_channel(rng, 4)), 2, 1.0),
 }
 out = {}
+"""
+
+CAPPED = CAPPED_PROBLEMS + """
 for name, (m, r, energy) in problems.items():
     d = m.in_dim
     obj = ecd._objective(m, r)
@@ -128,6 +135,33 @@ for name, (m, r, energy) in problems.items():
             optim._capped_proposal(obj, cap, 0.0)
         times.append((time.perf_counter() - start) / 20)
     out[name] = statistics.median(times)
+print(json.dumps(out))
+"""
+
+CAPPED_ASCENT = CAPPED_PROBLEMS + """
+point_init = optim._DualPoint.__init__
+points = []
+
+
+def counted(self, *args):
+    points.append(1)
+    point_init(self, *args)
+
+
+optim._DualPoint.__init__ = counted
+for name, (m, r, energy) in problems.items():
+    d = m.in_dim
+    cap = EnergyCap(Hamiltonian(np.arange(d) + 0.5), r, energy)
+    start = optim.start_vectors(d, r, 2, 0)[1]
+    times = []
+    for _ in range(9):
+        obj = ecd._objective(m, r)
+        points.clear()
+        begin = time.perf_counter()
+        optim.ascend(obj, start, cap, 15)
+        times.append(time.perf_counter() - begin)
+    out[name] = statistics.median(times)
+    out[name + "_dual_points"] = len(points)
 print(json.dumps(out))
 """
 
@@ -216,6 +250,7 @@ print(json.dumps(out))
 TIMINGS = {
     "constructor_s": CONSTRUCTOR,
     "capped_proposal_s": CAPPED,
+    "capped_ascent_s": CAPPED_ASCENT,
     "uncapped_ascent_s": UNCAPPED,
     "capacity_s": CAPACITY,
     "ea_s": EA,
