@@ -115,10 +115,6 @@ def _entropy_bound_from_spec(spec: str):
     raise ValueError(f"unknown entropy bound spec {spec!r}; use osc:W1[,W2..] or shifted:PATH")
 
 
-def _vector_to_json(v: np.ndarray) -> list:
-    return [[float(x.real), float(x.imag)] for x in v]
-
-
 PLUMBING = ("command", "handler", "out")
 SEEDED = ("restarts", "seed", "max_iter")
 
@@ -152,7 +148,7 @@ def _seeded(args) -> dict:
 
 
 def _bracket_result(est) -> dict:
-    result = {"lower": est.lower, "upper": est.upper, "witness": _vector_to_json(est.witness)}
+    result = {"lower": est.lower, "upper": est.upper, "witness": matrix_to_json([est.witness])[0]}
     if est.witness_energy is not None:
         result["witness_energy"] = est.witness_energy
     return result
@@ -289,23 +285,6 @@ def _cmd_optimize_t(args):
     )
 
 
-def _cmd_zoo(args):
-    if args.channel_kind == "identity":
-        channel = identity_channel(args.levels)
-    elif args.channel_kind == "phase-rotation":
-        channel = phase_rotation(args.levels, args.theta)
-    elif args.channel_kind == "attenuator":
-        channel = attenuator(args.levels, args.eta)
-    elif args.channel_kind == "depolarize-to-vacuum":
-        channel = depolarize_to(vacuum_state(args.levels), args.p)
-    elif args.channel_kind == "oscillator-hamiltonian":
-        osc = TruncatedOscillator(args.levels, args.hbar_omega)
-        return hamiltonian_to_json(osc.hamiltonian)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown zoo entry {args.channel_kind}")
-    return channel_to_json(channel)
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -405,6 +384,22 @@ EXPERIMENTS = {
         _exp_truncation_ladder, ("levels", "eta1", "eta2", "energy", *SEEDED)
     ),
 }
+
+
+# zoo entry -> its JSON document, built from the parsed arguments
+ZOO = {
+    "identity": lambda a: channel_to_json(identity_channel(a.levels)),
+    "phase-rotation": lambda a: channel_to_json(phase_rotation(a.levels, a.theta)),
+    "attenuator": lambda a: channel_to_json(attenuator(a.levels, a.eta)),
+    "depolarize-to-vacuum": lambda a: channel_to_json(depolarize_to(vacuum_state(a.levels), a.p)),
+    "oscillator-hamiltonian": lambda a: hamiltonian_to_json(
+        TruncatedOscillator(a.levels, a.hbar_omega).hamiltonian
+    ),
+}
+
+
+def _cmd_zoo(args):
+    return ZOO[args.channel_kind](args)
 
 
 def _cmd_experiment(args):
@@ -567,16 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("zoo", help="emit a reference channel or Hamiltonian as JSON")
-    p.add_argument(
-        "channel_kind",
-        choices=[
-            "identity",
-            "phase-rotation",
-            "attenuator",
-            "depolarize-to-vacuum",
-            "oscillator-hamiltonian",
-        ],
-    )
+    p.add_argument("channel_kind", choices=list(ZOO))
     p.add_argument("--levels", type=_positive, required=True)
     p.add_argument("--theta", type=_finite_float, default=0.0)
     p.add_argument("--eta", type=_finite_float, default=1.0)

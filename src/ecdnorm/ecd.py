@@ -262,7 +262,6 @@ def subspace_seminorm(
     the_map: HermitianPreservingMap,
     h_in: Hamiltonian,
     n: int,
-    r_dim: int | None = None,
     restarts: int = 32,
     seed: int = 0,
     max_iter: int = MAX_ITER,
@@ -276,7 +275,7 @@ def subspace_seminorm(
     if h_in.dimension != the_map.in_dim:
         raise ValueError("Hamiltonian dimension does not match the map input")
     small = _compressed_map(the_map, h_in.lowest_levels(n))
-    est = estimate_diamond_norm(small, r_dim=r_dim, restarts=restarts, seed=seed, max_iter=max_iter)
+    est = estimate_diamond_norm(small, restarts=restarts, seed=seed, max_iter=max_iter)
     return est.lower
 
 

@@ -36,6 +36,7 @@ from .operators import (
     DensityOperator,
     Hamiltonian,
     apply_channel,
+    matrix_of,
     partial_trace,
 )
 from .optim import EnergyCap, EnergyConstrainedSup, energy_constrained_sup
@@ -49,10 +50,6 @@ HALVING_TOL = 0.05
 # a gradient whose largest block norm is at most this times max(1, χ) is
 # rounding: no step along it can gain more than rounding either
 VANISHING_GRAD = 1e-14
-
-
-def _matrix(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
 
 
 def _spectral_entropy(w: np.ndarray) -> np.ndarray:
@@ -73,13 +70,13 @@ def _isometry(channel: Channel) -> np.ndarray:
 
 def entropy(rho) -> float:
     """Von Neumann entropy -Tr[ρ ln ρ]."""
-    val = float(_entropy_nd(_matrix(rho)))
+    val = float(_entropy_nd(matrix_of(rho)))
     return max(val, 0.0)
 
 
 def relative_entropy(rho, sigma) -> float:
     """Tr[ρ(ln ρ - ln σ)], or math.inf when supp ρ ⊄ supp σ."""
-    rm, sm = _matrix(rho), _matrix(sigma)
+    rm, sm = matrix_of(rho), matrix_of(sigma)
     if rm.shape != sm.shape:
         raise ValueError("relative entropy needs operators of equal dimension")
     rw, rv = np.linalg.eigh(rm)
@@ -146,7 +143,7 @@ def _checked_mutual_information(val: float) -> float:
 
 def mutual_information(rho, dims: tuple[int, int]) -> float:
     """I(A:B) = H(A) + H(B) - H(AB) of a bipartite state."""
-    m = _matrix(rho)
+    m = matrix_of(rho)
     da, db = dims
     if m.shape != (da * db, da * db):
         raise ValueError(f"state shape {m.shape} does not match factor dims {dims}")

@@ -1,8 +1,10 @@
 """Dense operator algebra for finite-dimensional quantum systems.
 
 Everything is double-precision complex, row-major, and eagerly validated.
-The Hermitian eigendecomposition is the only spectral kernel in use; general
-singular values are obtained from the eigenvalues of M†M.
+The value types are frozen dataclasses: `__post_init__` validates their
+fields and stores their arrays read-only. The Hermitian eigendecomposition
+is the only spectral kernel in use; general singular values are obtained
+from the eigenvalues of M†M.
 
 Composite indices follow the Kronecker convention (i, j) -> i * dim_b + j,
 and Choi matrices are ordered (output ⊗ reference).
@@ -10,7 +12,7 @@ and Choi matrices are ordered (output ⊗ reference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -44,8 +46,8 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return m.shape[0] == m.shape[1] and float(np.max(np.abs(m - m.conj().T))) <= tol
+def is_hermitian(m: np.ndarray) -> bool:
+    return m.shape[0] == m.shape[1] and float(np.max(np.abs(m - m.conj().T))) <= HERMITIAN_TOL
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -126,6 +128,12 @@ class DensityOperator:
         return cls(np.outer(v, v.conj()))
 
 
+def matrix_of(rho) -> np.ndarray:
+    """The matrix of a DensityOperator, or any operator as a complex array."""
+    return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Hamiltonian:
     """Positive operator kept in spectral form.
 
@@ -133,8 +141,11 @@ class Hamiltonian:
     with eigenvectors as columns. The default basis is the identity.
     """
 
-    def __init__(self, eigenvalues, eigenbasis=None):
-        ev = np.array(eigenvalues, dtype=np.float64)
+    eigenvalues: np.ndarray
+    eigenbasis: np.ndarray | None = None
+
+    def __post_init__(self):
+        ev = np.array(self.eigenvalues, dtype=np.float64)
         if ev.ndim != 1 or ev.size == 0:
             raise ValueError("eigenvalues must form a nonempty 1-D sequence")
         if not np.all(np.isfinite(ev)):
@@ -144,16 +155,16 @@ class Hamiltonian:
         if ev[0] < 0:
             raise ValueError("eigenvalues must be nonnegative")
         d = ev.size
-        if eigenbasis is None:
+        if self.eigenbasis is None:
             basis = np.eye(d, dtype=np.complex128)
         else:
-            basis = as_operator(eigenbasis)
+            basis = as_operator(self.eigenbasis)
             if basis.shape != (d, d):
                 raise ValueError("eigenbasis shape does not match eigenvalue count")
             if float(np.max(np.abs(basis.conj().T @ basis - np.eye(d)))) > HERMITIAN_TOL:
                 raise ValueError("eigenbasis must be unitary")
-        self._eigenvalues = _frozen(ev)
-        self._eigenbasis = _frozen(basis)
+        object.__setattr__(self, "eigenvalues", _frozen(ev))
+        object.__setattr__(self, "eigenbasis", _frozen(basis))
 
     @classmethod
     def from_matrix(cls, m) -> "Hamiltonian":
@@ -167,42 +178,34 @@ class Hamiltonian:
 
     @property
     def dimension(self) -> int:
-        return self._eigenvalues.size
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigenvalues
-
-    @property
-    def eigenbasis(self) -> np.ndarray:
-        return self._eigenbasis
+        return self.eigenvalues.size
 
     @property
     def ground_energy(self) -> float:
-        return float(self._eigenvalues[0])
+        return float(self.eigenvalues[0])
 
     @property
     def max_energy(self) -> float:
-        return float(self._eigenvalues[-1])
+        return float(self.eigenvalues[-1])
 
     @cached_property
     def mean_eigenvalue(self) -> float:
         """Mean energy of the maximally mixed state, Tr[H]/dim."""
-        return float(self._eigenvalues.mean())
+        return float(self.eigenvalues.mean())
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        u = self._eigenbasis
-        return _frozen((u * self._eigenvalues) @ u.conj().T)
+        u = self.eigenbasis
+        return _frozen((u * self.eigenvalues) @ u.conj().T)
 
     def ground_multiplicity(self) -> int:
-        return int(np.count_nonzero(self._eigenvalues <= self._eigenvalues[0] + DEGENERACY_GAP))
+        return int(np.count_nonzero(self.eigenvalues <= self.eigenvalues[0] + DEGENERACY_GAP))
 
     def lowest_levels(self, n: int) -> np.ndarray:
         """Isometry onto the span of the n lowest-energy eigenvectors."""
         if not 1 <= n <= self.dimension:
             raise ValueError(f"level count must lie in 1..{self.dimension}")
-        return self._eigenbasis[:, :n]
+        return self.eigenbasis[:, :n]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Hamiltonian(dim={self.dimension}, range=[{self.ground_energy}, {self.max_energy}])"
@@ -217,46 +220,43 @@ def choi_of(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return vecs.T @ vecs.conj()
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Channel:
     """Completely positive trace-preserving map held as Kraus operators."""
 
-    def __init__(self, kraus: Sequence):
-        ops = tuple(_frozen(as_operator(k)) for k in kraus)
+    kraus: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        ops = tuple(_frozen(as_operator(k)) for k in self.kraus)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
-        shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
+        if any(k.shape != ops[0].shape for k in ops):
             raise ValueError("all Kraus operators must share one shape")
-        self._kraus = ops
-        self._out_dim, self._in_dim = shape
+        object.__setattr__(self, "kraus", ops)
         tp = sum(k.conj().T @ k for k in ops)
-        if float(np.max(np.abs(tp - np.eye(self._in_dim)))) > TP_TOL:
+        if float(np.max(np.abs(tp - np.eye(self.in_dim)))) > TP_TOL:
             raise ValueError("Kraus operators must satisfy sum K†K = I (trace preservation)")
 
     @property
-    def kraus(self) -> tuple[np.ndarray, ...]:
-        return self._kraus
-
-    @property
     def in_dim(self) -> int:
-        return self._in_dim
+        return self.kraus[0].shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self._out_dim
+        return self.kraus[0].shape[0]
 
     @property
     def choi(self) -> np.ndarray:
         """A fresh Choi matrix on each read; a channel keeps only its Kraus operators."""
-        return choi_of(self._kraus)
+        return choi_of(self.kraus)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Channel(in_dim={self._in_dim}, out_dim={self._out_dim}, kraus={len(self._kraus)})"
+        return f"Channel(in_dim={self.in_dim}, out_dim={self.out_dim}, kraus={len(self.kraus)})"
 
 
 def apply_channel(channel: Channel, rho) -> np.ndarray:
     """Σ_k K ρ K† for a state (or any operator) on the input space."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
+    m = matrix_of(rho)
     if m.shape != (channel.in_dim, channel.in_dim):
         raise ValueError(
             f"operator dimension {m.shape[0]} does not match channel input {channel.in_dim}"
@@ -267,6 +267,7 @@ def apply_channel(channel: Channel, rho) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class HermitianPreservingMap:
     """Linear map between operator spaces, carried by its Choi matrix.
 
@@ -275,69 +276,55 @@ class HermitianPreservingMap:
     Only `difference` attaches them, so they always describe the Choi matrix.
     """
 
-    def __init__(self, choi, in_dim: int, out_dim: int):
-        c = as_operator(choi)
-        if c.shape != (in_dim * out_dim, in_dim * out_dim):
+    choi: np.ndarray
+    in_dim: int
+    out_dim: int
+    kraus_pair: tuple | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        c = as_operator(self.choi)
+        if c.shape != (self.in_dim * self.out_dim, self.in_dim * self.out_dim):
             raise ValueError("Choi matrix shape does not match declared dimensions")
         if not is_hermitian(c):
             raise ValueError("Choi matrix must be Hermitian for a Hermitian-preserving map")
-        self._choi = _frozen(c)
-        self._in_dim = in_dim
-        self._out_dim = out_dim
-        self._kraus_pair = None
+        object.__setattr__(self, "choi", _frozen(c))
 
     @classmethod
     def difference(cls, phi: Channel, psi: Channel) -> "HermitianPreservingMap":
         if (phi.in_dim, phi.out_dim) != (psi.in_dim, psi.out_dim):
             raise ValueError("channel difference requires matching dimensions")
         out = cls(phi.choi - psi.choi, phi.in_dim, phi.out_dim)
-        out._kraus_pair = (phi.kraus, psi.kraus)
+        object.__setattr__(out, "kraus_pair", (phi.kraus, psi.kraus))
         return out
 
     @classmethod
     def from_channel(cls, phi: Channel) -> "HermitianPreservingMap":
         return cls(phi.choi, phi.in_dim, phi.out_dim)
 
-    @property
-    def choi(self) -> np.ndarray:
-        return self._choi
-
-    @property
-    def in_dim(self) -> int:
-        return self._in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self._out_dim
-
-    @property
-    def kraus_pair(self):
-        return self._kraus_pair
-
     def scaled(self, c: float) -> "HermitianPreservingMap":
-        return HermitianPreservingMap(float(c) * self._choi, self._in_dim, self._out_dim)
+        return HermitianPreservingMap(float(c) * self.choi, self.in_dim, self.out_dim)
 
     def __add__(self, other: "HermitianPreservingMap") -> "HermitianPreservingMap":
-        if (self._in_dim, self._out_dim) != (other.in_dim, other.out_dim):
+        if (self.in_dim, self.out_dim) != (other.in_dim, other.out_dim):
             raise ValueError("map addition requires matching dimensions")
-        return HermitianPreservingMap(self._choi + other.choi, self._in_dim, self._out_dim)
+        return HermitianPreservingMap(self.choi + other.choi, self.in_dim, self.out_dim)
 
     def apply(self, rho) -> np.ndarray:
         """Evaluate the map on an operator through the Choi contraction."""
-        m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
-        if m.shape != (self._in_dim, self._in_dim):
+        m = matrix_of(rho)
+        if m.shape != (self.in_dim, self.in_dim):
             raise ValueError("operator dimension does not match map input")
-        c4 = self._choi.reshape(self._out_dim, self._in_dim, self._out_dim, self._in_dim)
+        c4 = self.choi.reshape(self.out_dim, self.in_dim, self.out_dim, self.in_dim)
         return np.einsum("aibj,ij->ab", c4, m)
 
     def __repr__(self) -> str:  # pragma: no cover
-        tag = " (channel difference)" if self._kraus_pair else ""
-        return f"HermitianPreservingMap(in_dim={self._in_dim}, out_dim={self._out_dim}){tag}"
+        tag = " (channel difference)" if self.kraus_pair else ""
+        return f"HermitianPreservingMap(in_dim={self.in_dim}, out_dim={self.out_dim}){tag}"
 
 
 def energy(rho, hamiltonian: Hamiltonian) -> float:
     """Mean energy Tr[H ρ]."""
-    m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
+    m = matrix_of(rho)
     if m.shape != (hamiltonian.dimension, hamiltonian.dimension):
         raise ValueError("state dimension does not match the Hamiltonian")
     val = complex(np.trace(hamiltonian.matrix @ m))

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every name the package exports exists, once."""
+every name the package exports exists, once, and every class attribute
+the bench's tracer wraps exists."""
 
 import ast
 from collections import Counter
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import ecdnorm
+import ecdnorm.cli  # the tracer also wraps the names the CLI imports
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ecdnorm"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ecdnorm"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,3 +50,18 @@ def test_every_export_resolves_once():
     """A stale entry of __all__ would break only `from ecdnorm import *`."""
     assert [n for n, k in Counter(ecdnorm.__all__).items() if k > 1] == []
     assert [n for n in ecdnorm.__all__ if not hasattr(ecdnorm, n)] == []
+
+
+def test_every_traced_method_exists(monkeypatch):
+    """`perfbench/tracing.py` wraps class attributes by name, so renaming one
+    would make `perfbench/run.py --trace 1` raise."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(ecdnorm)
+    finally:
+        tracer.uninstall()
+    methods = [t for targets in tracing.METHOD_SPANS.values() for t in targets]
+    assert [t for t in methods if t[2] not in vars(getattr(getattr(ecdnorm, t[0]), t[1]))] == []
