@@ -75,7 +75,7 @@ class EcdProblem:
         object.__setattr__(self, "r_dim", _reference_dim(self.map, self.r_dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EcdEstimate:
     """Bracket [lower, upper] with the witness attaining the lower value.
 
@@ -279,7 +279,7 @@ def subspace_seminorm(
     return est.lower
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateTruncation:
     """Outcome of projecting a bipartite state onto low input levels.
 

@@ -95,7 +95,7 @@ def relative_entropy(rho, sigma) -> float:
     return max(val, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Finite ensemble of states with strictly positive probabilities."""
 

@@ -95,7 +95,7 @@ def hermitian_abs(m: np.ndarray) -> np.ndarray:
     return (v * np.abs(w)) @ v.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian positive unit-trace operator."""
 

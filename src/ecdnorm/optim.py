@@ -651,7 +651,7 @@ def multistart_ascend(
     return best_f, best_psi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyConstrainedSup:
     """Exact value of max Tr[Mρ] over states with Tr[Hρ] <= budget.
 

@@ -43,7 +43,7 @@ def g(x: float) -> float:
     return (x + 1.0) * math.log1p(x) - x * math.log(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GibbsSolution:
     """Gibbs state data at a solved multiplier.
 

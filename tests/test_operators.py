@@ -18,6 +18,8 @@ from conftest import (
 from ecdnorm import (
     Channel,
     DensityOperator,
+    EcdProblem,
+    Ensemble,
     Hamiltonian,
     HermitianPreservingMap,
     apply_channel,
@@ -25,10 +27,14 @@ from ecdnorm import (
     choi_of,
     dagger,
     energy,
+    energy_constrained_sup,
+    estimate_ecd_norm,
     hermitian_abs,
     identity_channel,
     is_hermitian,
     partial_trace,
+    solve_gibbs,
+    state_truncation_bound,
     tensor,
     trace_norm,
 )
@@ -257,3 +263,27 @@ def test_channel_difference_retains_one_choi_matrix():
         tracemalloc.stop()
     assert phi.kraus and psi.kraus  # both channels stay alive
     assert retained < 1.5 * diff.choi.nbytes
+
+
+LEVELS = Hamiltonian(np.array([0.5, 1.5]))
+# the records that hold an array or a state, each built afresh by one call
+RECORDS = {
+    "DensityOperator": lambda: DensityOperator(np.eye(2) / 2),
+    "GibbsSolution": lambda: solve_gibbs(LEVELS, 1.0),
+    "EnergyConstrainedSup": lambda: energy_constrained_sup(X, LEVELS, 1.0),
+    "EcdEstimate": lambda: estimate_ecd_norm(
+        EcdProblem(HermitianPreservingMap.difference(attenuator(2, 0.7), attenuator(2, 0.6)), LEVELS, 1.0),
+        restarts=1,
+    ),
+    "StateTruncation": lambda: state_truncation_bound(DensityOperator(np.eye(4) / 4), LEVELS, 1),
+    "Ensemble": lambda: Ensemble((0.5, 0.5), (DensityOperator(np.eye(2) / 2), DensityOperator.pure([1.0, 0.0]))),
+}
+
+
+@pytest.mark.parametrize("build", RECORDS.values(), ids=list(RECORDS))
+def test_records_compare_by_identity(build):
+    """Like the value types, a record equals only itself and hashes, where
+    field-wise equality would take the truth value of an array."""
+    a, b = build(), build()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
