@@ -223,7 +223,7 @@ def _estimate(
                 _aligned_stinespring_bound(the_map.kraus_pair, problem.h_in, problem.energy),
             )
     witness_energy = None if cap is None else cap.energy(witness)
-    return EcdEstimate(lower, upper, witness, witness_energy)
+    return EcdEstimate(lower, upper, witness.astype(np.complex128), witness_energy)
 
 
 def estimate_ecd_norm(

@@ -1,6 +1,8 @@
 """Dense operator algebra for finite-dimensional quantum systems.
 
-Everything is double-precision complex, row-major, and eagerly validated.
+Everything is double-precision complex, row-major, and eagerly validated;
+returned arrays stay complex128, and `optim` computes in float64 on exactly
+real data.
 The value types are frozen dataclasses: `__post_init__` validates their
 fields and stores their arrays read-only. The Hermitian eigendecomposition
 is the only spectral kernel in use; general singular values are obtained

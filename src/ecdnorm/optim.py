@@ -14,7 +14,11 @@ Danskin's derivative E − ⟨v|K|v⟩ inside the closed-form bracket [0, μ_max
 and stopped on its duality gap, the least dual value less the value of the
 feasible state it returns with it; the capped proposal, the dual
 certificates of `TraceNormObjective.dual_bound` and `energy_constrained_sup`
-all use it.
+all use it. The engine computes in the dtype of its data: where data
+enters it, `_exact_real` turns a complex array with an imaginary part of
+exactly 0 into its real part, so a real Kraus pair, H and start run every
+GEMM, QR and eigh in float64. Complex iterates on real data meet complex
+copies of F and H built once, and `_energy_dual` casts K once per call.
 """
 
 from __future__ import annotations
@@ -40,6 +44,13 @@ def normalize(v: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / n
+
+
+def _exact_real(a: np.ndarray) -> np.ndarray:
+    """a's real part (contiguous) if a is complex with an imaginary part of exactly 0, else a."""
+    if np.iscomplexobj(a) and not a.imag.any():
+        return np.ascontiguousarray(a.real)
+    return a
 
 
 def check_energy_budget(hamiltonian: Hamiltonian, budget: float) -> None:
@@ -110,8 +121,9 @@ class EnergyCap:
 
     def __init__(self, hamiltonian: Hamiltonian, r_dim: int, budget: float):
         check_energy_budget(hamiltonian, budget)
-        self._h = hamiltonian.matrix
-        self._tau0 = hamiltonian.eigenbasis[:, 0]
+        self._h = _exact_real(hamiltonian.matrix)
+        self._h_complex = hamiltonian.matrix  # for complex blocks, so H is not cast per call
+        self._tau0 = _exact_real(hamiltonian.eigenbasis[:, 0])
         self._e0 = float(hamiltonian.ground_energy)
         self._e_top = float(hamiltonian.max_energy)
         self._ground = np.kron(self._tau0, np.eye(int(r_dim))[0])  # τ₀ ⊗ e₀
@@ -129,7 +141,8 @@ class EnergyCap:
         return self._h_kron
 
     def _energies(self, blocks: np.ndarray) -> np.ndarray:
-        return np.einsum("kir,kir->k", blocks.conj(), self._h @ blocks).real
+        h = self._h_complex if blocks.dtype.kind == "c" else self._h
+        return np.einsum("kir,kir->k", blocks.conj(), h @ blocks).real
 
     def energy(self, psi: np.ndarray) -> float:
         return float(self._energies(psi.reshape(1, self._dim, self._r_dim))[0])
@@ -169,7 +182,8 @@ class TraceNormObjective:
     F is kept as an (in, out·rank) matrix, so Y = MᵀF is one GEMM with rows
     ordered (r, out), and F† as an (out·rank, in) one, so the pull-back of
     an action on Y is one GEMM too; `surrogate_matrix` and `dual_bound` read
-    the same two layouts.
+    the same two layouts. All are float64 on an exactly real Kraus pair (or
+    C), and a complex ψ meets complex copies of them (`_data`).
 
     `value_and_grad` keeps the sign matrix S of the last output, which makes
     the linearization ψ' -> Tr[S X(ψ')] available through `sign_value` and
@@ -185,6 +199,7 @@ class TraceNormObjective:
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.r_dim = int(r_dim)
+        choi = _exact_real(choi)
         self._c4 = np.ascontiguousarray(choi.reshape(out_dim, in_dim, out_dim, in_dim))
         if kraus_pair is not None:
             w, v, scale = _kraus_eigh(kraus_pair)
@@ -204,11 +219,18 @@ class TraceNormObjective:
         self._f_adj = np.ascontiguousarray(self._f.conj().T)
         # adjoint applied to the identity, for the identity part of sign matrices
         self._adj_id = np.ascontiguousarray(np.einsum("aiaj->ij", self._c4).T)
+        # those three, and for complex iterates their complex copies, built once
+        kept = (self._f, self._f_adj, self._adj_id)
+        self._kept = (kept, tuple(a.astype(np.complex128, copy=False) for a in kept))
         self._neg = self._neg_h = self._g_choi = self._g_id = None
+
+    def _data(self, x: np.ndarray) -> tuple:
+        """(F, F†, adjoint at I) for products with x, complex for a complex x."""
+        return self._kept[x.dtype.kind == "c"]
 
     def _factor(self, psi: np.ndarray) -> np.ndarray:
         """Y with X(psi) = Y diag(sigma) Y†, shape (r*out, rank), rows (r, out)."""
-        y = psi.reshape(self.in_dim, self.r_dim).T @ self._f  # ri,i(ac) -> r(ac)
+        y = psi.reshape(self.in_dim, self.r_dim).T @ self._data(psi)[0]  # ri,i(ac) -> r(ac)
         return y.reshape(self.r_dim * self.out_dim, self._rank)
 
     def value(self, psi: np.ndarray) -> float:
@@ -231,9 +253,10 @@ class TraceNormObjective:
     def _apply_sign(self, psi: np.ndarray, y: np.ndarray) -> np.ndarray:
         """apply_sign(psi), given Y = _factor(psi)."""
         # (S − I) Y diag(σ) = −2 P (P† Y) diag(σ), pulled back through F†
+        _, f_adj, adj_id = self._data(y)
         z = self._neg @ ((self._neg_h @ y) * (-2.0 * self._sigma))
-        grad = (z.reshape(self.r_dim, -1) @ self._f_adj).T  # r(ak),(ak)i -> ir
-        return (grad + self._adj_id @ psi.reshape(self.in_dim, self.r_dim)).reshape(-1)
+        grad = (z.reshape(self.r_dim, -1) @ f_adj).T  # r(ak),(ak)i -> ir
+        return (grad + adj_id @ psi.reshape(self.in_dim, self.r_dim)).reshape(-1)
 
     def apply_sign(self, psi: np.ndarray) -> np.ndarray:
         """Gψ for the linearization ⟨ψ|G|ψ⟩ = Tr[S X(ψ)] at the last expansion point.
@@ -253,11 +276,12 @@ class TraceNormObjective:
         PP†, one GEMM over (y,x) and a Hermitian symmetrization.
         """
         o, i, r = self.out_dim, self.in_dim, self.r_dim
-        if self._g_choi is None:
-            self._g_choi = -2.0 * self._c4.transpose(2, 0, 3, 1).reshape(o * o, i * i)
+        if self._g_choi is None:  # as built, and complex for a complex PP†
+            g_choi = -2.0 * self._c4.transpose(2, 0, 3, 1).reshape(o * o, i * i)
+            self._g_choi = (g_choi, g_choi.astype(np.complex128, copy=False))
             self._g_id = np.kron(self._adj_id, np.eye(r))
-        pp = (self._neg @ self._neg_h).reshape(r, o, r, o).transpose(0, 2, 1, 3)
-        g = (pp.reshape(r * r, o * o) @ self._g_choi).reshape(r, r, i, i)  # sryx,yxji -> srji
+        pp = (self._neg @ self._neg_h).reshape(r, o, r, o).transpose(0, 2, 1, 3).reshape(r * r, o * o)
+        g = (pp @ self._g_choi[pp.dtype.kind == "c"]).reshape(r, r, i, i)  # sryx,yxji -> srji
         g = g.transpose(2, 0, 3, 1).reshape(i * r, i * r) + self._g_id
         return 0.5 * (g + g.conj().T)
 
@@ -277,14 +301,14 @@ class TraceNormObjective:
         eigenvalues F drops add their trace norm. At I/d it is the Choi bound.
         """
         d = self.in_dim
-        rho = (1.0 - DUAL_FLOOR) * np.asarray(rho) + (DUAL_FLOOR / d) * np.eye(d)
+        rho = (1.0 - DUAL_FLOOR) * _exact_real(np.asarray(rho)) + (DUAL_FLOOR / d) * np.eye(d)
         p, u = np.linalg.eigh(rho.T)
         b = (u * np.sqrt(np.maximum(p, 0.0))) @ u.conj().T
-        r = np.linalg.qr((b @ self._f).reshape(d * self.out_dim, self._rank), mode="r")
+        r = np.linalg.qr((b @ self._data(b)[0]).reshape(d * self.out_dim, self._rank), mode="r")
         lam, vec = np.linalg.eigh((r * self._sigma) @ r.conj().T)
         a = np.abs(lam)
         wm = np.linalg.solve(r, vec)  # W = R⁻¹U: M = W|λ|W† and FMF† = (FW)|λ|(FW)†
-        fw = (self._f.reshape(d * self.out_dim, self._rank) @ wm).reshape(d, -1)
+        fw = (self._data(wm)[0].reshape(d * self.out_dim, self._rank) @ wm).reshape(d, -1)
         g = (fw * np.tile(a, self.out_dim)) @ fw.conj().T
         sw = np.sqrt(np.abs(self._w))[:, None] * wm
         core = (sw * a) @ sw.conj().T  # SMS
@@ -301,7 +325,7 @@ def _kraus_eigh(kraus_pair):
     O(n·k²) for n rows and k operators. Rounding in Λ scales with ‖R‖₂², so
     the rank is cut against it and a zero difference keeps none."""
     ka, kb = kraus_pair
-    a = np.stack([k.reshape(-1) for k in (*ka, *kb)], axis=1)
+    a = _exact_real(np.stack([k.reshape(-1) for k in (*ka, *kb)], axis=1))
     q, r = np.linalg.qr(a)
     j = np.repeat([1.0, -1.0], [len(ka), len(kb)])
     w, u = np.linalg.eigh((r * j) @ r.conj().T)
@@ -328,7 +352,7 @@ def _lanczos_top(matvec, start: np.ndarray, first: np.ndarray) -> np.ndarray | N
     dim = start.size
     iters = min(LANCZOS_STEPS, dim)
     norm = np.linalg.norm(start)
-    basis = np.empty((iters, dim), dtype=np.complex128)
+    basis = np.empty((iters, dim), dtype=np.result_type(start, first))
     basis[0] = start / norm
     w = first / norm
     alphas: list[float] = []
@@ -422,6 +446,7 @@ def _energy_dual(g: np.ndarray, cap: EnergyCap, mu_hint: float, gap: float):
     μ_max = 0 allows.
     """
     k = cap.kron_matrix()
+    k = k.astype(np.result_type(g, k), copy=False)  # once here, not once per _DualPoint
     budget = cap.budget
     p = _DualPoint(g, k, budget, max(float(mu_hint), 0.0))
     lam = p.phi + p.mu * (cap._e_top - budget)
@@ -508,19 +533,21 @@ def _best_in_span(a: np.ndarray, b: np.ndarray, g: np.ndarray, k: np.ndarray, bu
         perp = [c - t * h for c, h in zip(gv, khat)]
         if math.hypot(*perp) <= 1e-12 * max(gn, 1e-300):
             # G favors pure energy (what is left of gv is rounding noise):
-            # any direction on the circle is optimal
-            perp = np.eye(3)[np.argmin(np.abs(khat))].tolist()
+            # any direction on the circle is optimal; one in the (x, z)
+            # plane, where real forms put k̂, keeps a real span real
+            perp = np.eye(3)[np.argmin(np.abs(khat))].tolist() if khat[1] else [-khat[2], 0.0, khat[0]]
         # (again) orthogonal to k̂, so that n lands on the circle
         t = sum(x * y for x, y in zip(perp, khat))
         perp = [c - t * h for c, h in zip(perp, khat)]
         cos = min(max(room / kn, -1.0), 1.0)
         sin = math.sqrt(max(1.0 - cos * cos, 0.0)) / math.hypot(*perp)
         n = [cos * h + sin * p for h, p in zip(khat, perp)]
+    z = complex(n[0], n[1]) if n[1] else n[0]  # a real z keeps a real span real
     if n[2] >= 0.0:
         x0 = math.sqrt(0.5 * (1.0 + n[2]))
-        return normalize(x0 * q[0] + complex(n[0], n[1]) / (2.0 * x0) * q[1])
+        return normalize(x0 * q[0] + z / (2.0 * x0) * q[1])
     x1 = math.sqrt(0.5 * (1.0 - n[2]))
-    return normalize(complex(n[0], -n[1]) / (2.0 * x1) * q[0] + x1 * q[1])
+    return normalize(z.conjugate() / (2.0 * x1) * q[0] + x1 * q[1])
 
 
 def _capped_proposal(objective, cap, mu_hint: float):
@@ -565,7 +592,7 @@ def ascend(
     over STALL_WINDOW iterations is below STALL_REL_TOL relative, or at
     max_iter.
     """
-    psi = normalize(np.asarray(start, dtype=np.complex128).reshape(-1))
+    psi = normalize(_exact_real(np.asarray(start, dtype=np.complex128).reshape(-1)))
     if project is not None:
         psi = project(psi)
     dense_cap = project is not None and psi.size <= CAP_PROPOSAL_MAX_DIM
@@ -614,13 +641,13 @@ def start_vectors(
 ) -> list[np.ndarray]:
     """Deterministic multi-start seeds.
 
-    Start 0 is the balanced entangled vector; the rest are complex Gaussian
-    draws from per-restart generators keyed by (seed, restart index), so the
-    set does not depend on evaluation order.
+    Start 0 is the balanced entangled vector, real; the rest are complex
+    Gaussian draws from per-restart generators keyed by (seed, restart
+    index), so the set does not depend on evaluation order.
     """
     starts: list[np.ndarray] = []
     k = min(in_dim, r_dim)
-    m0 = np.zeros((in_dim, r_dim), dtype=np.complex128)
+    m0 = np.zeros((in_dim, r_dim))
     m0[np.arange(k), np.arange(k)] = 1.0 / np.sqrt(k)
     starts.append(m0.reshape(-1))
     for r in range(1, max(1, restarts)):
@@ -675,7 +702,7 @@ def energy_constrained_sup(
     m: np.ndarray, hamiltonian: Hamiltonian, budget: float
 ) -> EnergyConstrainedSup:
     cap = EnergyCap(hamiltonian, 1, budget)
-    m = 0.5 * (m + m.conj().T)
+    m = _exact_real(0.5 * (m + m.conj().T))
     mu, value, top, attained = _energy_dual(m, cap, 0.0, 1e-14)
-    state = np.outer(top, top.conj())
+    state = np.outer(top, top.conj()).astype(np.complex128)
     return EnergyConstrainedSup(value=value, state=state, attained=attained, multiplier=mu)

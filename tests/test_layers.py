@@ -14,7 +14,9 @@ CASES = {
     "constructor_s": {"8", "16", "24"},
     "capped_proposal_s": {"pair8", "random-d4r2"},
     "capped_ascent_s": {"pair8", "pair8_dual_points", "random-d4r2", "random-d4r2_dual_points"},
-    "uncapped_ascent_s": {"pair16", "pair16_apply_sign_calls"},
+    "uncapped_ascent_s": {
+        "pair16", "pair16_apply_sign_calls", "pair16_complex_start", "pair16_complex_start_apply_sign_calls"
+    },
     "projected_ascent_s": {"pair24", "pair24_value_and_grad_calls", "pair24_sign_value_calls"},
     "capacity_s": {"attenuator12", "attenuator12_value_calls"},
     "ea_s": {"levels16_E2"},

@@ -28,6 +28,7 @@ from ecdnorm import (
     attenuator,
     diamond_upper_bound,
     energy_constrained_sup,
+    estimate_diamond_norm,
     estimate_ecd_norm,
     golden_section_min,
     identity_channel,
@@ -695,12 +696,14 @@ def test_best_in_span_matches_a_scan_of_the_span():
             assert np.vdot(x, g @ x).real >= values[feasible].max() - 1e-12
 
 
-@pytest.mark.parametrize("kind", ["phase", "noise"])
+@pytest.mark.parametrize("kind", ["phase", "noise", "real"])
 def test_best_in_span_on_a_degenerate_span(kind):
-    """b = e^{iθ}a, or a with 1e-17 of noise (which rounding mostly absorbs):
-    the span is one-dimensional, and the basis must still be an orthonormal
-    pair. The result is a unit vector; when a is within the budget, so is
-    the result, and it scores at least ⟨a|G|a⟩."""
+    """b = e^{iθ}a, or a with 1e-17 of noise (which rounding mostly absorbs),
+    or real forms with G = K and b = −a real, where G favors pure energy and
+    every point of the circle that meets the budget is optimal: the span is
+    one-dimensional, and the basis must still be an orthonormal pair. The
+    result is a unit vector; when a is within the budget, so is the result,
+    and it scores at least ⟨a|G|a⟩. Real forms give a real result."""
     rng = np.random.default_rng(41)
     feasible_cases = 0
     for d in (2, 4, 8, 16, 64):
@@ -712,6 +715,10 @@ def test_best_in_span_on_a_degenerate_span(kind):
             a = haar_vector(rng, d)
             if kind == "phase":
                 b = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * a
+            elif kind == "real":
+                g = k = k.real
+                a = normalize(a.real)
+                b = -a
             else:
                 b = a + 1e-17 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
             energy = np.vdot(a, k @ a).real
@@ -719,6 +726,7 @@ def test_best_in_span_on_a_degenerate_span(kind):
             x = _best_in_span(a, b, g, k, budget)
             assert np.all(np.isfinite(x))
             assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+            assert x.dtype == (np.float64 if kind == "real" else np.complex128)
             if energy <= budget:
                 feasible_cases += 1
                 assert np.vdot(x, k @ x).real <= budget + 1e-12
@@ -816,3 +824,61 @@ def test_phase_map_bracket_leaves_the_zero_start():
     assert objective.value(start_vectors(d, 1, 1, seed=0)[0]) < 1e-12
     est = estimate_ecd_norm(problem, restarts=2, seed=0, max_iter=30)
     assert 0.0 < est.lower <= est.upper
+
+
+def _attenuator_pair(d, phase=1.0):
+    """The 0.70/0.69 attenuator pair, each Kraus operator times phase."""
+    a, b = (Channel([phase * k for k in attenuator(d, eta).kraus]) for eta in (0.70, 0.69))
+    return HermitianPreservingMap.difference(a, b)
+
+
+def test_real_data_stays_real():
+    """A real Kraus pair, a real H and a real start keep the engine in
+    float64: the factor, the gradient, the Lanczos proposal and the cap at
+    psi.size 100, and the capped proposal at psi.size 16, from start 0 of
+    the attenuator pair under an oscillator cap at E = 2."""
+    for d in (10, 4):
+        pair = _attenuator_pair(d)
+        obj = TraceNormObjective(pair.choi, d, d, d, pair.kraus_pair)
+        cap = EnergyCap(TruncatedOscillator(d, 1.0).hamiltonian, d, 2.0)
+        psi = cap(start_vectors(d, d, 1, 0)[0])
+        _, grad = obj.value_and_grad(psi)
+        if d == 10:
+            top = optim._lanczos_top(obj.apply_sign, psi, 0.5 * grad)
+            arrays = [obj._f, grad, top, psi]
+        else:
+            arrays = [_capped_proposal(obj, cap, 0.0)[0]]
+        assert psi.size == d * d
+        assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
+
+
+def test_a_global_phase_changes_nothing():
+    """e^{iθ} on every Kraus operator leaves the Choi matrix as it is but
+    makes the data complex: the objective, its gradient, the dual bound and
+    the brackets agree with the real problem's, whose public arrays stay
+    complex128."""
+    rng = np.random.default_rng(71)
+    d = 8
+    real, phased = (_attenuator_pair(d, p) for p in (1.0, np.exp(0.7j)))
+    objs = [TraceNormObjective(m.choi, d, d, d, m.kraus_pair) for m in (real, phased)]
+    assert [o._f.dtype for o in objs] == [np.float64, np.complex128]
+    for psi in (start_vectors(d, d, 1, 0)[0], haar_vector(rng, d * d)):
+        (f0, g0), (f1, g1) = (o.value_and_grad(psi) for o in objs)
+        assert abs(f1 - f0) <= 1e-12 * f0
+        assert np.linalg.norm(g1 - g0) <= 1e-12 * np.linalg.norm(g0)
+    h = TruncatedOscillator(d, 1.0).hamiltonian
+    for rho in (np.eye(d) / d, ginibre_density(rng, d).matrix):
+        for cap in (None, EnergyCap(h, 1, 2.0)):
+            b0, b1 = (o.dual_bound(rho, cap) for o in objs)
+            assert abs(b1 - b0) <= 1e-12 * b0
+    small = [_attenuator_pair(6, p) for p in (1.0, np.exp(0.7j))]
+    brackets = [
+        [estimate_ecd_norm(EcdProblem(m, h, 2.0), restarts=3) for m in (real, phased)],
+        [estimate_diamond_norm(m, restarts=3) for m in small],
+    ]
+    for est0, est1 in brackets:
+        assert est0.witness.dtype == np.complex128
+        assert abs(est1.lower - est0.lower) <= 1e-9 * est0.lower
+        assert abs(est1.upper - est0.upper) <= 1e-9 * est0.upper
+    delta = sum((a - b).conj().T @ (a - b) for a, b in zip(*real.kraus_pair))
+    assert energy_constrained_sup(delta, h, 2.0).state.dtype == np.complex128

@@ -128,13 +128,17 @@ def capped_ascent_s():
 
 
 def uncapped_ascent_s():
-    """Time of one uncapped ascent (`optim.ascend` from start 0, 15 iterations,
-    the Lanczos proposal) on the pair at 16 levels (r = 16), and its `apply_sign` calls."""
+    """Time of one uncapped ascent (`optim.ascend`, 15 iterations, the Lanczos
+    proposal) on the pair at 16 levels (r = 16), and its `apply_sign` calls:
+    from the real start 0, and from start 1, a complex Gaussian, which takes
+    the real factor against complex iterates."""
     obj = ecd._objective(_pair(16), 16)
-    start = optim.start_vectors(16, 16, 1, 0)[0]
-    with counting(obj, "apply_sign") as calls:
-        seconds = timed(lambda: optim.ascend(obj, start, None, 15))
-    return {"pair16": seconds, "pair16_apply_sign_calls": len(calls) // RUNS}
+    out = {}
+    for name, start in zip(("pair16", "pair16_complex_start"), optim.start_vectors(16, 16, 2, 0)):
+        with counting(obj, "apply_sign") as calls:
+            out[name] = timed(lambda: optim.ascend(obj, start, None, 15))
+        out[name + "_apply_sign_calls"] = len(calls) // RUNS
+    return out
 
 
 def projected_ascent_s():
