@@ -6,14 +6,12 @@ The capacity estimator is a declared lower-bound heuristic: multi-start
 projected ascent over ensembles of pure states under a mean-energy cap on
 the average input, enforced by `EnergyCap.project` (each state is mixed
 toward the ground state in closed form, and every state keeps the same
-fraction of its energy above the ground energy). The ascent
-is batched over the ensemble: every output state comes from one product
-with the stacked Kraus operators, and an evaluation makes one stacked
+fraction of its energy above the ground energy). The ascent is batched
+over the ensemble: every output state comes from one product with the
+stacked Kraus operators, and an evaluation makes one stacked
 eigendecomposition of the outputs plus one of their average. The gradient
-step reuses an accepted trial's forward pass, and a line search ends once
-its shortfalls f − f(α) halve with the step, which marks a descent slope.
-A restart ends at once when its gradient vanishes to rounding (largest
-block norm at most VANISHING_GRAD·max(1, χ)), as on a constant channel.
+step reuses an accepted trial's forward pass; its line search and stop
+rules are the ψ-ascent's (`optim.line_search`).
 
 The channel mutual information I(ρ, Φ) = H(ρ) + H(Φ(ρ)) − H(Φ̂(ρ)) is taken
 through the Stinespring dilation: with m the purification's coefficient
@@ -40,16 +38,11 @@ from .operators import (
     partial_trace,
 )
 from .optim import EnergyCap, EnergyConstrainedSup, energy_constrained_sup
+from .optim import VANISHING_GRAD, _stalled, line_search
 from .thermo import gibbs_multiplier
 
 SUPPORT_TOL = 1e-12
 EIG_FLOOR = 1e-18
-# a failed trial's shortfall f − f(α) that halves with α, to within this
-# relative tolerance, is the linear term α·D of a descent direction (D < 0)
-HALVING_TOL = 0.05
-# a gradient whose largest block norm is at most this times max(1, χ) is
-# rounding: no step along it can gain more than rounding either
-VANISHING_GRAD = 1e-14
 
 
 def _spectral_entropy(w: np.ndarray) -> np.ndarray:
@@ -267,12 +260,6 @@ class _EnsembleAscent:
         return chi, grad_logits, grad_psis
 
 
-def _halving(shortfalls) -> bool:
-    """The last three shortfalls are positive and each is half the one before (± HALVING_TOL)."""
-    s = shortfalls[-3:]
-    return len(s) == 3 and min(s) > 0.0 and all(abs(b / a - 0.5) <= HALVING_TOL for a, b in zip(s, s[1:]))
-
-
 def holevo_capacity_estimate(
     channel: Channel,
     h_in: Hamiltonian,
@@ -293,31 +280,21 @@ def holevo_capacity_estimate(
     budget: ValueError when it is not finite, InfeasibleProblemError at or
     below the ground energy; ValueError for fewer than 1 restart or state.
 
-    The gradient step reuses the accepted trial's forward pass. Backtracking
-    halves the step down to 1e-12, or until the last three trials fall short
-    by amounts that halve with it (ratio 1/2 ± HALVING_TOL): then
-    f(α) − f ≈ α·D with D < 0, and no shorter step gains.
+    The step, the gradient over its largest block norm, reuses the accepted
+    trial's forward pass; `optim.line_search` sets its length, at most 8.
     """
     d = channel.in_dim
     size = d if ensemble_size is None else int(ensemble_size)
     if size < 1 or restarts < 1:
         raise ValueError("ensemble size and restarts must be at least 1")
     problem = _EnsembleAscent(channel, h_in, energy_budget, size)
-
-    def eigen_start():
-        ev = h_in.eigenvalues
-        idx = np.arange(size) % d
-        cols = h_in.eigenbasis.T[idx].copy()
-        if energy_budget >= h_in.mean_eigenvalue:
-            logits = np.zeros(size)
-        else:
-            logits = -gibbs_multiplier(h_in, energy_budget) * ev[idx]
-        return logits, cols.astype(np.complex128)
-
     best = 0.0
     for r in range(restarts):
         if r == 0:
-            logits, psis = eigen_start()
+            idx = np.arange(size) % d
+            psis = h_in.eigenbasis.T[idx].astype(np.complex128)
+            lam = 0.0 if energy_budget >= h_in.mean_eigenvalue else gibbs_multiplier(h_in, energy_budget)
+            logits = -lam * h_in.eigenvalues[idx]
         else:
             rng = np.random.default_rng([int(seed), r])
             logits = 0.3 * rng.standard_normal(size)
@@ -332,25 +309,17 @@ def holevo_capacity_estimate(
             scale = max(np.linalg.norm(g_logits), np.max(np.linalg.norm(g_psis, axis=1)))
             if scale <= VANISHING_GRAD * max(1.0, f):
                 break
-            moved = False
-            shortfalls = []
-            while alpha >= 1e-12:
-                cand_logits = logits + alpha * g_logits / scale
-                cand_psis = psis + alpha * g_psis / scale
-                fc = problem.value(cand_logits, cand_psis)
-                if fc > f:
-                    moved = True
-                    break
-                shortfalls.append(f - fc)
-                if _halving(shortfalls):
-                    break
-                alpha *= 0.5
-            if not moved:
+
+            def trial(a):
+                cand = logits + a * g_logits / scale, psis + a * g_psis / scale
+                return problem.value(*cand), (*cand, problem.last)
+
+            step = line_search(trial, f, alpha, 8.0)
+            if step is None:
                 break
-            logits, psis, f, forward = cand_logits, cand_psis, fc, problem.last
-            alpha = min(alpha * 1.3, 8.0)
+            alpha, f, (logits, psis, forward) = step
             history.append(f)
-            if len(history) > 20 and f - history[-21] <= 1e-9 * max(1.0, f):
+            if _stalled(history):
                 break
         best = max(best, f)
     return best

@@ -37,6 +37,11 @@ GOLDEN_MAX_ITER = 200
 DUAL_FLOOR = 1e-4  # weight of I/d mixed into the input state of a dual bound
 STALL_WINDOW = 20
 STALL_REL_TOL = 1e-8
+# a gradient this small, times max(1, |f|), is rounding: no step along it gains
+VANISHING_GRAD = 1e-14
+# a failed trial's shortfall f − f(α) that halves with α, to within this
+# relative tolerance, is the linear term α·D of a descent direction (D < 0)
+HALVING_TOL = 0.05
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -51,6 +56,33 @@ def _exact_real(a: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(a) and not a.imag.any():
         return np.ascontiguousarray(a.real)
     return a
+
+
+def _halving(shortfalls) -> bool:
+    """The last three shortfalls are positive and each is half the one before (± HALVING_TOL)."""
+    s = shortfalls[-3:]
+    return len(s) == 3 and min(s) > 0.0 and all(abs(b / a - 0.5) <= HALVING_TOL for a, b in zip(s, s[1:]))
+
+
+def line_search(trial, f: float, alpha: float, alpha_max: float):
+    """Halve alpha until trial(alpha), a (value, candidate) pair, beats f, and
+    return (min(1.3·α, alpha_max), value, candidate); None below 1e-12, or
+    once the last three shortfalls f − f(α) halve with α (`_halving`): then
+    f(α) − f ≈ α·D with D < 0, and no shorter step gains."""
+    shortfalls = []
+    while alpha >= 1e-12 and not _halving(shortfalls):
+        value, cand = trial(alpha)
+        if value > f:
+            return min(1.3 * alpha, alpha_max), value, cand
+        shortfalls.append(f - value)
+        alpha *= 0.5
+    return None
+
+
+def _stalled(history) -> bool:
+    """The last STALL_WINDOW accepted steps gained at most STALL_REL_TOL relative."""
+    f = history[-1]
+    return len(history) > STALL_WINDOW and f - history[-STALL_WINDOW - 1] <= STALL_REL_TOL * max(1.0, abs(f))
 
 
 def check_energy_budget(hamiltonian: Hamiltonian, budget: float) -> None:
@@ -588,9 +620,8 @@ def ascend(
     eigendecomposition of the output; the capped proposal, whose dual stops
     on its duality gap, is feasible as returned and brings that value, read
     from its G, with it. Stops at the first candidate that does not improve
-    (for the gradient step, once its length is below 1e-13), when the gain
-    over STALL_WINDOW iterations is below STALL_REL_TOL relative, or at
-    max_iter.
+    (for the gradient step, of at most 32 tangents, when `line_search` gives
+    up or the tangent vanishes), on a stall (`_stalled`), or at max_iter.
     """
     psi = normalize(_exact_real(np.asarray(start, dtype=np.complex128).reshape(-1)))
     if project is not None:
@@ -603,32 +634,31 @@ def ascend(
     for _ in range(max_iter):
         if project is not None and not dense_cap:
             tang = grad - np.vdot(psi, grad).real * psi
-            if np.linalg.norm(tang) <= 1e-13 * max(1.0, abs(f)):
+            if np.linalg.norm(tang) <= VANISHING_GRAD * max(1.0, abs(f)):
                 break
-            while alpha >= 1e-13:
-                cand = project(normalize(psi + alpha * tang))
-                if objective.sign_value(cand) > f:
-                    break
-                alpha *= 0.5
-            else:
+
+            def trial(a):
+                cand = project(normalize(psi + a * tang))
+                return objective.sign_value(cand), cand
+
+            step = line_search(trial, f, alpha, 32.0)
+            if step is None:
                 break
-            alpha = min(alpha * 1.3, 32.0)
+            alpha, value, cand = step
+        elif dense_cap:
+            cand, value, mu_hint = _capped_proposal(objective, project, mu_hint)
         else:
-            if dense_cap:
-                cand, value, mu_hint = _capped_proposal(objective, project, mu_hint)
-            else:
-                cand = _lanczos_top(objective.apply_sign, psi, 0.5 * grad)
-                if cand is None:
-                    break
-                value = objective.sign_value(cand)
-            if value <= f:
+            cand = _lanczos_top(objective.apply_sign, psi, 0.5 * grad)
+            if cand is None:
                 break
+            value = objective.sign_value(cand)
+        if value <= f:
+            break
         psi = cand
         f, grad = objective.value_and_grad(psi)
         history.append(f)
-        if len(history) > STALL_WINDOW:
-            if f - history[-STALL_WINDOW - 1] <= STALL_REL_TOL * max(1.0, abs(f)):
-                break
+        if _stalled(history):
+            break
     return f, psi
 
 

@@ -38,7 +38,8 @@ from ecdnorm import (
     solve_gibbs,
     vacuum_state,
 )
-from ecdnorm.info import _EnsembleAscent, _halving
+from ecdnorm.info import _EnsembleAscent
+from ecdnorm.optim import _halving
 from ecdnorm.thermo import gibbs_multiplier
 
 LN2 = math.log(2.0)

@@ -757,15 +757,17 @@ def test_multistart_deterministic():
 
 def _ascent_problem(case):
     """(objective, projection, start) of one ascent mode: the 0.70/0.69
-    attenuator pair capped at E = 1 (d = r = 8, or 10 for psi.size > 64) or
-    uncapped, or a random two-level difference under a random cap."""
+    attenuator pair at d = r = 8 capped at E = 1, or uncapped, or at
+    d = r = 10 (psi.size > 64) capped at E = 6, above the start's energy,
+    where the ascent makes dozens of steps; or a random two-level
+    difference under a random cap."""
     if case == "dense-capped-random":
         rng = np.random.default_rng(40)
         objective, _, _, _ = _difference_objective(rng, 2, 2, 1)
         return objective, _random_cap(rng, 2, 1)[0], start_vectors(2, 1, 2, seed=0)[1]
-    d = 10 if case == "large-capped" else 8
+    d, energy = (10, 6.0) if case == "large-capped" else (8, 1.0)
     diff = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
-    cap = None if case == "uncapped" else EnergyCap(TruncatedOscillator(d, 1.0).hamiltonian, d, 1.0)
+    cap = None if case == "uncapped" else EnergyCap(TruncatedOscillator(d, 1.0).hamiltonian, d, energy)
     return TraceNormObjective(diff.choi, d, d, d), cap, start_vectors(d, d, 2, seed=0)[1]
 
 
@@ -812,6 +814,62 @@ def test_ascent_takes_one_proposal_kind(monkeypatch, case):
     assert all(b >= a for a, b in zip(values, values[1:])), values
     if cap is not None:
         assert cap.energy(psi) <= cap.budget
+
+
+def _full_halving_ascent(objective, start, cap, max_iter):
+    """The projected-gradient ascent with every failing search halved down
+    to 1e-13, its tangent stopped at 1e-13·max(1, |f|)."""
+    psi = cap(normalize(np.asarray(start, dtype=np.complex128)))
+    f, grad = objective.value_and_grad(psi)
+    alpha = 0.25
+    history = [f]
+    for _ in range(max_iter):
+        tang = grad - np.vdot(psi, grad).real * psi
+        if np.linalg.norm(tang) <= 1e-13 * max(1.0, abs(f)):
+            break
+        while alpha >= 1e-13:
+            cand = cap(normalize(psi + alpha * tang))
+            if objective.sign_value(cand) > f:
+                break
+            alpha *= 0.5
+        else:
+            break
+        alpha = min(alpha * 1.3, 32.0)
+        psi = cand
+        f, grad = objective.value_and_grad(psi)
+        history.append(f)
+        if len(history) > 20 and f - history[-21] <= 1e-8 * max(1.0, abs(f)):
+            break
+    return f
+
+
+@pytest.mark.parametrize("energy", [1.0, 6.0])
+@pytest.mark.parametrize("which", [0, 1])
+def test_projected_ascent_matches_the_full_halving_search(monkeypatch, energy, which):
+    """Ending a failing search once its shortfalls halve leaves the projected
+    ascent's value on the pair at 10 levels within 1e-12 relative of the
+    search that halves down to its floor; the failing search of the capped
+    start 0 at E = 1 takes a few `sign_value` calls, not dozens."""
+    d = 10
+    diff = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
+    cap = EnergyCap(TruncatedOscillator(d, 1.0).hamiltonian, d, energy)
+    start = start_vectors(d, d, 2, seed=0)[which]
+    assert start.size > CAP_PROPOSAL_MAX_DIM
+    objective = TraceNormObjective(diff.choi, d, d, d, diff.kraus_pair)
+    expected = _full_halving_ascent(objective, start, cap, 100)
+    f, _ = optim.ascend(objective, start, project=cap, max_iter=100)
+    assert abs(f - expected) <= 1e-12 * abs(expected), (f, expected)
+    if (energy, which) == (1.0, 0):
+        calls = []
+        sign_value = TraceNormObjective.sign_value
+
+        def counted(self, psi):
+            calls.append(None)
+            return sign_value(self, psi)
+
+        monkeypatch.setattr(TraceNormObjective, "sign_value", counted)
+        optim.ascend(objective, start, project=cap, max_iter=15)
+        assert len(calls) <= 4, len(calls)
 
 
 def test_phase_map_bracket_leaves_the_zero_start():
