@@ -304,17 +304,16 @@ def _exp_strong_convergence(args):
 
 def _exp_attenuator_pair(args):
     rows = []
-    dia_warm: list = []
-    ecd_warm: list = []
     prev_d = None
     for d in args.dims:
         h = TruncatedOscillator(d, 1.0).hamiltonian
         the_map = HermitianPreservingMap.difference(attenuator(d, args.eta1), attenuator(d, args.eta2))
         # chaining the previous witness keeps the estimates monotone in d:
-        # the attenuator pair restricted to the low levels is the smaller pair
-        if prev_d is not None:
-            dia_warm = [embed_witness(dia_warm[0], prev_d, d)]
-            ecd_warm = [embed_witness(ecd_warm[0], prev_d, d)]
+        # the attenuator pair restricted to the low levels is the smaller
+        # pair, so only a pair of at most d levels seeds this one
+        chained = prev_d is not None and prev_d <= d
+        dia_warm = [embed_witness(dia_warm[0], prev_d, d)] if chained else []
+        ecd_warm = [embed_witness(ecd_warm[0], prev_d, d)] if chained else []
         dia = estimate_diamond_norm(the_map, extra_starts=dia_warm, **_seeded(args))
         problem = EcdProblem(the_map, h, args.energy)
         ecd = estimate_ecd_norm(problem, extra_starts=ecd_warm, **_seeded(args))

@@ -172,6 +172,8 @@ def embed_witness(witness: np.ndarray, d_small: int, d_large: int) -> np.ndarray
     Used as an extra start on d_large levels when the map on d_small levels
     is its restriction to the low levels (the attenuator ladder).
     """
+    if d_small > d_large:
+        raise ValueError(f"cannot embed a {d_small}-level witness into {d_large} levels")
     m = np.zeros((d_large, d_large), dtype=np.complex128)
     m[:d_small, :d_small] = witness.reshape(d_small, d_small)
     return m.reshape(-1)
@@ -323,16 +325,18 @@ def truncation_norm_bound(
 ) -> float:
     """Diamond bound of the n-level compression plus the tail penalty 8 sqrt(E/E_n).
 
-    E_n is the first energy level outside the retained span (the top level
-    when n covers the whole space, where the penalty is vacuous but keeps the
-    expression total). Certified for maps of diamond norm at most 2, such as
-    channel differences: the penalty is twice the state truncation bound.
+    E_n is the first energy level outside the retained span. Certified for
+    maps of diamond norm at most 2, such as channel differences: the penalty
+    is twice the state truncation bound. At n = d no level is dropped, the
+    tail is exactly 0, and the bound is the compressed map's alone.
     """
     d = h_in.dimension
     if not 1 <= n <= d:
         raise ValueError(f"level count must lie in 1..{d}")
-    level = float(h_in.eigenvalues[n] if n < d else h_in.eigenvalues[-1])
+    q = diamond_upper_bound(_compressed_map(the_map, h_in.lowest_levels(n)))
+    if n == d:
+        return q
+    level = float(h_in.eigenvalues[n])
     if level <= 0.0:
         raise ValueError("tail penalty needs a positive energy at the first dropped level")
-    q = diamond_upper_bound(_compressed_map(the_map, h_in.lowest_levels(n)))
     return q + 8.0 * math.sqrt(energy_budget / level)

@@ -278,12 +278,15 @@ def holevo_capacity_estimate(
     random draws keyed by (seed, restart). Every evaluation first caps the
     average input energy with `EnergyCap.project`, which also validates the
     budget: ValueError when it is not finite, InfeasibleProblemError at or
-    below the ground energy; ValueError for fewer than 1 restart or state.
+    below the ground energy; ValueError for fewer than 1 restart or state,
+    or for a Hamiltonian whose dimension is not the channel's input's.
 
     The step, the gradient over its largest block norm, reuses the accepted
     trial's forward pass; `optim.line_search` sets its length, at most 8.
     """
     d = channel.in_dim
+    if h_in.dimension != d:
+        raise ValueError("Hamiltonian dimensions do not match the channel")
     size = d if ensemble_size is None else int(ensemble_size)
     if size < 1 or restarts < 1:
         raise ValueError("ensemble size and restarts must be at least 1")

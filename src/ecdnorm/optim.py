@@ -17,8 +17,8 @@ certificates of `TraceNormObjective.dual_bound` and `energy_constrained_sup`
 all use it. The engine computes in the dtype of its data: where data
 enters it, `_exact_real` turns a complex array with an imaginary part of
 exactly 0 into its real part, so a real Kraus pair, H and start run every
-GEMM, QR and eigh in float64. Complex iterates on real data meet complex
-copies of F and H built once, and `_energy_dual` casts K once per call.
+GEMM, QR and eigh in float64. A complex iterate meets the same real F, H
+or K, which numpy promotes to complex128 for that product.
 """
 
 from __future__ import annotations
@@ -154,7 +154,6 @@ class EnergyCap:
     def __init__(self, hamiltonian: Hamiltonian, r_dim: int, budget: float):
         check_energy_budget(hamiltonian, budget)
         self._h = _exact_real(hamiltonian.matrix)
-        self._h_complex = hamiltonian.matrix  # for complex blocks, so H is not cast per call
         self._tau0 = _exact_real(hamiltonian.eigenbasis[:, 0])
         self._e0 = float(hamiltonian.ground_energy)
         self._e_top = float(hamiltonian.max_energy)
@@ -173,8 +172,7 @@ class EnergyCap:
         return self._h_kron
 
     def _energies(self, blocks: np.ndarray) -> np.ndarray:
-        h = self._h_complex if blocks.dtype.kind == "c" else self._h
-        return np.einsum("kir,kir->k", blocks.conj(), h @ blocks).real
+        return np.einsum("kir,kir->k", blocks.conj(), self._h @ blocks).real
 
     def energy(self, psi: np.ndarray) -> float:
         return float(self._energies(psi.reshape(1, self._dim, self._r_dim))[0])
@@ -215,7 +213,7 @@ class TraceNormObjective:
     ordered (r, out), and F† as an (out·rank, in) one, so the pull-back of
     an action on Y is one GEMM too; `surrogate_matrix` and `dual_bound` read
     the same two layouts. All are float64 on an exactly real Kraus pair (or
-    C), and a complex ψ meets complex copies of them (`_data`).
+    C), and numpy promotes them to complex128 where a complex ψ meets them.
 
     `value_and_grad` keeps the sign matrix S of the last output, which makes
     the linearization ψ' -> Tr[S X(ψ')] available through `sign_value` and
@@ -251,18 +249,11 @@ class TraceNormObjective:
         self._f_adj = np.ascontiguousarray(self._f.conj().T)
         # adjoint applied to the identity, for the identity part of sign matrices
         self._adj_id = np.ascontiguousarray(np.einsum("aiaj->ij", self._c4).T)
-        # those three, and for complex iterates their complex copies, built once
-        kept = (self._f, self._f_adj, self._adj_id)
-        self._kept = (kept, tuple(a.astype(np.complex128, copy=False) for a in kept))
         self._neg = self._neg_h = self._g_choi = self._g_id = None
-
-    def _data(self, x: np.ndarray) -> tuple:
-        """(F, F†, adjoint at I) for products with x, complex for a complex x."""
-        return self._kept[x.dtype.kind == "c"]
 
     def _factor(self, psi: np.ndarray) -> np.ndarray:
         """Y with X(psi) = Y diag(sigma) Y†, shape (r*out, rank), rows (r, out)."""
-        y = psi.reshape(self.in_dim, self.r_dim).T @ self._data(psi)[0]  # ri,i(ac) -> r(ac)
+        y = psi.reshape(self.in_dim, self.r_dim).T @ self._f  # ri,i(ac) -> r(ac)
         return y.reshape(self.r_dim * self.out_dim, self._rank)
 
     def value(self, psi: np.ndarray) -> float:
@@ -285,10 +276,9 @@ class TraceNormObjective:
     def _apply_sign(self, psi: np.ndarray, y: np.ndarray) -> np.ndarray:
         """apply_sign(psi), given Y = _factor(psi)."""
         # (S − I) Y diag(σ) = −2 P (P† Y) diag(σ), pulled back through F†
-        _, f_adj, adj_id = self._data(y)
         z = self._neg @ ((self._neg_h @ y) * (-2.0 * self._sigma))
-        grad = (z.reshape(self.r_dim, -1) @ f_adj).T  # r(ak),(ak)i -> ir
-        return (grad + adj_id @ psi.reshape(self.in_dim, self.r_dim)).reshape(-1)
+        grad = (z.reshape(self.r_dim, -1) @ self._f_adj).T  # r(ak),(ak)i -> ir
+        return (grad + self._adj_id @ psi.reshape(self.in_dim, self.r_dim)).reshape(-1)
 
     def apply_sign(self, psi: np.ndarray) -> np.ndarray:
         """Gψ for the linearization ⟨ψ|G|ψ⟩ = Tr[S X(ψ)] at the last expansion point.
@@ -304,16 +294,16 @@ class TraceNormObjective:
         G[(j,s),(i,r)] = Σ_{x,y} (S − I)[(y,s),(x,r)]·C[(x,i),(y,j)] + (adjoint at
         I ⊗ I_R). The Choi tensor as a (y,x) × (j,i) matrix times the −2 of
         S − I = −2PP† and the identity part are built on the first call (the
-        capped proposal's, at psi.size <= 64) and kept; each call then costs
-        PP†, one GEMM over (y,x) and a Hermitian symmetrization.
+        capped proposal's, at psi.size <= 64) and kept in the data's dtype;
+        each call then costs PP†, one GEMM over (y,x) and a Hermitian
+        symmetrization.
         """
         o, i, r = self.out_dim, self.in_dim, self.r_dim
-        if self._g_choi is None:  # as built, and complex for a complex PP†
-            g_choi = -2.0 * self._c4.transpose(2, 0, 3, 1).reshape(o * o, i * i)
-            self._g_choi = (g_choi, g_choi.astype(np.complex128, copy=False))
+        if self._g_choi is None:
+            self._g_choi = -2.0 * self._c4.transpose(2, 0, 3, 1).reshape(o * o, i * i)
             self._g_id = np.kron(self._adj_id, np.eye(r))
         pp = (self._neg @ self._neg_h).reshape(r, o, r, o).transpose(0, 2, 1, 3).reshape(r * r, o * o)
-        g = (pp @ self._g_choi[pp.dtype.kind == "c"]).reshape(r, r, i, i)  # sryx,yxji -> srji
+        g = (pp @ self._g_choi).reshape(r, r, i, i)  # sryx,yxji -> srji
         g = g.transpose(2, 0, 3, 1).reshape(i * r, i * r) + self._g_id
         return 0.5 * (g + g.conj().T)
 
@@ -336,11 +326,11 @@ class TraceNormObjective:
         rho = (1.0 - DUAL_FLOOR) * _exact_real(np.asarray(rho)) + (DUAL_FLOOR / d) * np.eye(d)
         p, u = np.linalg.eigh(rho.T)
         b = (u * np.sqrt(np.maximum(p, 0.0))) @ u.conj().T
-        r = np.linalg.qr((b @ self._data(b)[0]).reshape(d * self.out_dim, self._rank), mode="r")
+        r = np.linalg.qr((b @ self._f).reshape(d * self.out_dim, self._rank), mode="r")
         lam, vec = np.linalg.eigh((r * self._sigma) @ r.conj().T)
         a = np.abs(lam)
         wm = np.linalg.solve(r, vec)  # W = R⁻¹U: M = W|λ|W† and FMF† = (FW)|λ|(FW)†
-        fw = (self._data(wm)[0].reshape(d * self.out_dim, self._rank) @ wm).reshape(d, -1)
+        fw = (self._f.reshape(d * self.out_dim, self._rank) @ wm).reshape(d, -1)
         g = (fw * np.tile(a, self.out_dim)) @ fw.conj().T
         sw = np.sqrt(np.abs(self._w))[:, None] * wm
         core = (sw * a) @ sw.conj().T  # SMS
@@ -478,7 +468,6 @@ def _energy_dual(g: np.ndarray, cap: EnergyCap, mu_hint: float, gap: float):
     μ_max = 0 allows.
     """
     k = cap.kron_matrix()
-    k = k.astype(np.result_type(g, k), copy=False)  # once here, not once per _DualPoint
     budget = cap.budget
     p = _DualPoint(g, k, budget, max(float(mu_hint), 0.0))
     lam = p.phi + p.mu * (cap._e_top - budget)

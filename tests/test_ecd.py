@@ -332,6 +332,16 @@ def test_truncation_norm_bound_zero_map():
     for n in (1, 2, 3):
         got = truncation_norm_bound(zero, h, 0.8, n)
         assert abs(got - 8.0 * math.sqrt(0.8 / ev[n])) < 1e-12
+    # at n = d no level is dropped: no tail penalty, the zero map's bound alone
+    assert abs(truncation_norm_bound(zero, h, 0.8, 4)) < 1e-12
+
+
+def test_embed_witness_pads_and_refuses_to_shrink():
+    w = haar_vector(np.random.default_rng(50), 9)
+    m = ecd.embed_witness(w, 3, 5).reshape(5, 5)
+    assert np.array_equal(m[:3, :3], w.reshape(3, 3)) and not m[3:].any() and not m[:, 3:].any()
+    with pytest.raises(ValueError, match="5-level witness into 3 levels"):
+        ecd.embed_witness(ecd.embed_witness(w, 3, 5), 5, 3)
 
 
 def test_compressed_difference_keeps_its_kraus_pair():

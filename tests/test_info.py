@@ -604,6 +604,12 @@ def test_capacity_estimate_rejects_fewer_than_one_restart(restarts):
         holevo_capacity_estimate(identity_channel(3), h, 1.0, restarts=restarts)
 
 
+def test_capacity_estimate_rejects_a_hamiltonian_of_another_dimension():
+    h = TruncatedOscillator(5).hamiltonian
+    with pytest.raises(ValueError, match="Hamiltonian dimensions do not match the channel"):
+        holevo_capacity_estimate(attenuator(4, 0.7), h, 1.5)
+
+
 def test_data_processing_for_holevo_quantity():
     rng = np.random.default_rng(72)
     for _ in range(6):

@@ -924,6 +924,11 @@ def test_a_global_phase_changes_nothing():
         (f0, g0), (f1, g1) = (o.value_and_grad(psi) for o in objs)
         assert abs(f1 - f0) <= 1e-12 * f0
         assert np.linalg.norm(g1 - g0) <= 1e-12 * np.linalg.norm(g0)
+    # at the complex start, the real factor meets complex iterates
+    s0, s1 = (o.surrogate_matrix() for o in objs)
+    assert np.linalg.norm(s1 - s0) <= 1e-12 * np.linalg.norm(s0)
+    v0, v1 = (o.sign_value(psi) for o in objs)
+    assert abs(v1 - v0) <= 1e-12 * abs(v0)
     h = TruncatedOscillator(d, 1.0).hamiltonian
     for rho in (np.eye(d) / d, ginibre_density(rng, d).matrix):
         for cap in (None, EnergyCap(h, 1, 2.0)):
@@ -940,3 +945,36 @@ def test_a_global_phase_changes_nothing():
         assert abs(est1.upper - est0.upper) <= 1e-9 * est0.upper
     delta = sum((a - b).conj().T @ (a - b) for a, b in zip(*real.kraus_pair))
     assert energy_constrained_sup(delta, h, 2.0).state.dtype == np.complex128
+
+
+def _held_arrays(x):
+    """The arrays in x, a value held by an object: an array or a tuple of them."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, tuple):
+        for item in x:
+            yield from _held_arrays(item)
+
+
+def test_real_data_keeps_one_copy():
+    """Complex iterates on the real attenuator pair (psi.size 16) meet the
+    real arrays themselves: after the gradient, the sign matrix, the
+    surrogate, a dual bound at a complex ρ and the projection of complex
+    blocks, neither the objective nor a cap holds a complex array, apart from
+    the linearization at the complex start."""
+    rng = np.random.default_rng(73)
+    d = 4
+    pair = _attenuator_pair(d)
+    h = TruncatedOscillator(d, 1.0).hamiltonian
+    obj = TraceNormObjective(pair.choi, d, d, d, pair.kraus_pair)
+    cap, dual_cap = EnergyCap(h, d, 1.0), EnergyCap(h, 1, 2.0)
+    psi = haar_vector(rng, d * d)
+    obj.value_and_grad(psi)
+    obj.apply_sign(psi)
+    obj.surrogate_matrix()
+    obj.dual_bound(ginibre_density(rng, d).matrix, dual_cap)
+    blocks = np.array([haar_vector(rng, d * d).reshape(d, d) for _ in range(2)])
+    assert not np.array_equal(cap.project(blocks, np.array([0.5, 0.5])), blocks)
+    held = [(name, list(_held_arrays(v))) for o in (obj, cap, dual_cap) for name, v in vars(o).items()]
+    assert {"_f", "_f_adj", "_adj_id", "_g_choi", "_h", "_h_kron"} <= {name for name, arrays in held if arrays}
+    assert {name for name, arrays in held if any(map(np.iscomplexobj, arrays))} == {"_neg", "_neg_h"}

@@ -566,3 +566,24 @@ def test_cli_counts_below_minimum_are_exit_2(capsys, argv, option):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert f"argument {option}" in err and "below the minimum" in err
+
+
+def test_cli_cap_est_rejects_a_hamiltonian_of_another_dimension(tmp_path, capsys):
+    (tmp_path / "c.json").write_text(dump_json(channel_to_json(attenuator(4, 0.7))))
+    (tmp_path / "h.json").write_text(dump_json(hamiltonian_to_json(Hamiltonian(np.arange(5.0)))))
+    argv = ["cap-est", "--channel", str(tmp_path / "c.json"), "--hamiltonian", str(tmp_path / "h.json"),
+            "--energy", "1.5"]
+    assert main(argv) == 2
+    assert "Hamiltonian" in capsys.readouterr().err
+
+
+def test_attenuator_pair_with_falling_dims_starts_each_smaller_pair_afresh(capsys):
+    """A witness only seeds a pair of at least its own level count, so with
+    --dims 6,4 the 4-level row is the row of --dims 4 alone."""
+    rows = {}
+    for dims in ("6,4", "4"):
+        assert main(["experiment", "attenuator-pair", "--dims", dims, *FAST]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        rows[dims] = lines[1:]
+    assert [row.split(",")[0] for row in rows["6,4"]] == ["6", "4"]
+    assert rows["6,4"][1] == rows["4"][0]
