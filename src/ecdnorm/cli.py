@@ -357,6 +357,8 @@ def _exp_tightness_ea(args):
 
 
 def _exp_truncation_ladder(args):
+    """Rows n = 1…d: the level E_n that truncating to n levels drops (empty at
+    n = d, which drops none), q_n, the tail-penalty bound and the estimate."""
     d = args.levels
     h = TruncatedOscillator(d, 1.0).hamiltonian
     the_map = HermitianPreservingMap.difference(attenuator(d, args.eta1), attenuator(d, args.eta2))
@@ -365,7 +367,7 @@ def _exp_truncation_ladder(args):
     for n in range(1, d + 1):
         q = subspace_seminorm(the_map, h, n, **_seeded(args))
         bound = truncation_norm_bound(the_map, h, args.energy, n)
-        level = float(h.eigenvalues[n] if n < d else h.eigenvalues[-1])
+        level = float(h.eigenvalues[n]) if n < d else ""
         rows.append([n, level, q, bound, ecd.lower])
     return ["n", "next_level_energy", "qn", "trunc_bound", "ecd_lower"], rows
 

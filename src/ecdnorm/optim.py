@@ -3,8 +3,10 @@
 Monotone ascent on the unit sphere with one proposal kind per problem (the
 capped proposal under a small energy cap, a projected gradient step under a
 larger cap, the Lanczos Ritz vector with no cap, its Krylov space stopped at
-a converged top Ritz pair), stopped by the first proposal that does not
-improve; the trace-norm objective, with the Choi factor F kept as an
+a converged top Ritz pair), the fixed-point proposals (capped and Lanczos)
+extrapolated by SQUAREM, each extrapolation trial screened by the exact
+objective and counted as a step, stopped by the first proposal that does
+not improve; the trace-norm objective, with the Choi factor F kept as an
 (in, out·rank) matrix and F† as an (out·rank, in) one, so that an output's
 factor and a sign matrix's pull-back are one GEMM each; deterministic
 multi-starts; a golden-section search; and one solver for maximizing a
@@ -215,9 +217,10 @@ class TraceNormObjective:
     the same two layouts. All are float64 on an exactly real Kraus pair (or
     C), and numpy promotes them to complex128 where a complex ψ meets them.
 
-    `value_and_grad` keeps the sign matrix S of the last output, which makes
-    the linearization ψ' -> Tr[S X(ψ')] available through `sign_value` and
-    `apply_sign`. That linearization never exceeds the true objective (S has
+    `expand` (and `value_and_grad`, `expand` plus the gradient) keeps the
+    sign matrix S of the last output, which makes the linearization
+    ψ' -> Tr[S X(ψ')] available through `sign_value` and `apply_sign`. It
+    never exceeds the true objective (S has
     operator norm one), so improvements certified with it hold for the
     objective as well, without paying for an eigendecomposition per trial
     point. S = I − 2PP† is kept as the isometry P onto the eigenvectors of X
@@ -261,17 +264,20 @@ class TraceNormObjective:
         small = (r * self._sigma) @ r.conj().T
         return float(np.abs(np.linalg.eigvalsh(small)).sum())
 
-    def value_and_grad(self, psi: np.ndarray) -> tuple[float, np.ndarray]:
-        y = self._factor(psi)
-        q, r = np.linalg.qr(y)
+    def expand(self, psi: np.ndarray) -> float:
+        """The objective at psi, keeping the sign matrix of its output as the
+        linearization that `sign_value`, `apply_sign` and `surrogate_matrix` read."""
+        q, r = np.linalg.qr(self._factor(psi))
         w, v = np.linalg.eigh((r * self._sigma) @ r.conj().T)
-        value = float(np.abs(w).sum())
         # near-zero eigenvalues count as +; snapping them stops the sign
         # matrix from jittering between iterations. X = Q V diag(w) V† Q†,
         # so S = I − 2PP† with P = Q V restricted to the negative w.
         self._neg = q @ v[:, w < -1e-9 * np.abs(w).max(initial=0.0)]
         self._neg_h = np.ascontiguousarray(self._neg.conj().T)
-        return value, 2.0 * self._apply_sign(psi, y)
+        return float(np.abs(w).sum())
+
+    def value_and_grad(self, psi: np.ndarray) -> tuple[float, np.ndarray]:
+        return self.expand(psi), 2.0 * self._apply_sign(psi, self._factor(psi))
 
     def _apply_sign(self, psi: np.ndarray, y: np.ndarray) -> np.ndarray:
         """apply_sign(psi), given Y = _factor(psi)."""
@@ -606,49 +612,91 @@ def ascend(
     stops once its top Ritz pair has converged (`_lanczos_top`). Candidates
     are screened once with the linearized value, which lower-bounds the true
     objective, so every accepted step improves and costs one
-    eigendecomposition of the output; the capped proposal, whose dual stops
+    eigendecomposition of the output (`expand`, plus the gradient where a
+    Lanczos or gradient step reads it); the capped proposal, whose dual stops
     on its duality gap, is feasible as returned and brings that value, read
-    from its G, with it. Stops at the first candidate that does not improve
-    (for the gradient step, of at most 32 tangents, when `line_search` gives
-    up or the tangent vanishes), on a stall (`_stalled`), or at max_iter.
+    from its G, with it. The capped and Lanczos proposals are linearly
+    converging fixed-point maps, which `_squarem` extrapolates: after every
+    two accepted steps ψ0 → ψ1 → ψ2, each phase-aligned to the one before
+    (a real ψ stays real), their S3 point, capped, replaces ψ2 if its exact
+    `objective.value` is higher, and the next two steps start from there.
+    Each proposal and each such trial is one of the max_iter steps; a trial
+    that wins is expanded as part of it. Stops at the first candidate that
+    does not improve (for the gradient step, of at most 32 tangents, when
+    `line_search` gives up or the tangent vanishes), on a stall
+    (`_stalled`), or after max_iter steps.
     """
     psi = normalize(_exact_real(np.asarray(start, dtype=np.complex128).reshape(-1)))
     if project is not None:
         psi = project(psi)
     dense_cap = project is not None and psi.size <= CAP_PROPOSAL_MAX_DIM
+    fixed_point = dense_cap or project is None
+
+    def expand(x):
+        return (objective.expand(x), None) if dense_cap else objective.value_and_grad(x)
+
     mu_hint = 0.0
-    f, grad = objective.value_and_grad(psi)
+    f, grad = expand(psi)
     alpha = 0.25
     history = [f]
-    for _ in range(max_iter):
-        if project is not None and not dense_cap:
-            tang = grad - np.vdot(psi, grad).real * psi
-            if np.linalg.norm(tang) <= VANISHING_GRAD * max(1.0, abs(f)):
-                break
-
-            def trial(a):
-                cand = project(normalize(psi + a * tang))
-                return objective.sign_value(cand), cand
-
-            step = line_search(trial, f, alpha, 32.0)
-            if step is None:
-                break
-            alpha, value, cand = step
-        elif dense_cap:
-            cand, value, mu_hint = _capped_proposal(objective, project, mu_hint)
+    trail = [psi]
+    left = max_iter  # steps: proposals and extrapolation trials
+    while left > 0:
+        left -= 1
+        x = None
+        if len(trail) == 3:
+            x, trail = _squarem(*trail), [psi]
+        if x is not None:
+            x = x if project is None else project(x)
+            if objective.value(x) <= f:
+                continue
+            psi = trail[0] = x
         else:
-            cand = _lanczos_top(objective.apply_sign, psi, 0.5 * grad)
-            if cand is None:
+            if not fixed_point:
+                tang = grad - np.vdot(psi, grad).real * psi
+                if np.linalg.norm(tang) <= VANISHING_GRAD * max(1.0, abs(f)):
+                    break
+
+                def trial(a):
+                    cand = project(normalize(psi + a * tang))
+                    return objective.sign_value(cand), cand
+
+                step = line_search(trial, f, alpha, 32.0)
+                if step is None:
+                    break
+                alpha, value, cand = step
+            elif dense_cap:
+                cand, value, mu_hint = _capped_proposal(objective, project, mu_hint)
+            else:
+                cand = _lanczos_top(objective.apply_sign, psi, 0.5 * grad)
+                if cand is None:
+                    break
+                value = objective.sign_value(cand)
+            if value <= f:
                 break
-            value = objective.sign_value(cand)
-        if value <= f:
-            break
-        psi = cand
-        f, grad = objective.value_and_grad(psi)
+            if fixed_point:
+                c = np.vdot(psi, cand)  # align the phase: ⟨ψ_prev|ψ⟩ real and ≥ 0
+                cand = cand * (np.conj(c) / abs(c)) if c else cand
+                trail.append(cand)
+            psi = cand
+        f, grad = expand(psi)
         history.append(f)
         if _stalled(history):
             break
     return f, psi
+
+
+def _squarem(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray | None:
+    """The unit SQUAREM S3 point p0 − 2αr + α²v of three fixed-point iterates,
+    r = p1 − p0, v = p2 − p1 − r, α = −‖r‖/‖v‖ (Varadhan and Roland, Scand.
+    J. Statist. 35, 335 (2008)); None unless α < −1 (α = −1 gives p2)."""
+    r = p1 - p0
+    v = p2 - p1 - r
+    rn, vn = np.linalg.norm(r), np.linalg.norm(v)
+    if not rn > vn > 0.0:
+        return None
+    a = -rn / vn
+    return normalize(p0 - 2.0 * a * r + a * a * v)
 
 
 def start_vectors(

@@ -14,8 +14,12 @@ CASES = {
     "constructor_s": {"8", "16", "24"},
     "capped_proposal_s": {"pair8", "random-d4r2"},
     "capped_ascent_s": {"pair8", "pair8_dual_points", "random-d4r2", "random-d4r2_dual_points"},
+    "converged_ascent_s": {
+        "random-d3r2", "random-d3r2_expansions", "random-d3r2_value_calls", "random-d3r2_dual_points"
+    },
     "uncapped_ascent_s": {
-        "pair16", "pair16_apply_sign_calls", "pair16_complex_start", "pair16_complex_start_apply_sign_calls"
+        "pair16", "pair16_apply_sign_calls", "pair16_value_and_grad_calls",
+        "pair16_complex_start", "pair16_complex_start_apply_sign_calls", "pair16_complex_start_value_and_grad_calls",
     },
     "projected_ascent_s": {"pair24", "pair24_value_and_grad_calls", "pair24_sign_value_calls"},
     "capacity_s": {"attenuator12", "attenuator12_value_calls"},
@@ -45,6 +49,13 @@ def test_timing_runs_and_puts_back_what_it_counts(layers, name):
     assert set(out) == CASES[name]
     assert all(value > 0 for value in out.values()), out
     assert [dict(vars(cls)) for cls in COUNTED] == before
+
+
+def test_a_row_counts_the_same_on_every_run(layers):
+    """The calls a row counts are exact: two runs of converged_ascent_s give
+    the same counts, whatever their timings."""
+    first, second = ({k: v for k, v in layers.converged_ascent_s().items() if isinstance(v, int)} for _ in range(2))
+    assert len(first) == 3 and first == second
 
 
 def test_counting_restores_an_instance_attribute(layers):

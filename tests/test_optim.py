@@ -462,14 +462,13 @@ def test_capped_proposals_never_score_below_current_point(monkeypatch):
     """Every capped proposal on the 0.70/0.69 attenuator pair at 8 levels
     reaches the surrogate value of the point it was made at."""
     last = {}
-    value_and_grad = TraceNormObjective.value_and_grad
+    expand = TraceNormObjective.expand
     proposal = optim._capped_proposal
     shortfalls = []
 
-    def recording_value_and_grad(self, psi):
-        out = value_and_grad(self, psi)
-        last["f"] = out[0]
-        return out
+    def recording_expand(self, psi):
+        last["f"] = expand(self, psi)
+        return last["f"]
 
     def recording_proposal(objective, cap, mu_hint):
         cand, value, mu = proposal(objective, cap, mu_hint)
@@ -477,7 +476,7 @@ def test_capped_proposals_never_score_below_current_point(monkeypatch):
             shortfalls.append(last["f"] - objective.sign_value(cand))
         return cand, value, mu
 
-    monkeypatch.setattr(TraceNormObjective, "value_and_grad", recording_value_and_grad)
+    monkeypatch.setattr(TraceNormObjective, "expand", recording_expand)
     monkeypatch.setattr(optim, "_capped_proposal", recording_proposal)
     d = 8
     diff = HermitianPreservingMap.difference(attenuator(d, 0.70), attenuator(d, 0.69))
@@ -795,16 +794,15 @@ def test_ascent_takes_one_proposal_kind(monkeypatch, case):
 
         return wrapper
 
-    value_and_grad = TraceNormObjective.value_and_grad
+    expand = TraceNormObjective.expand
 
-    def recording_value_and_grad(self, psi):
-        out = value_and_grad(self, psi)
-        values.append(out[0])
-        return out
+    def recording_expand(self, psi):
+        values.append(expand(self, psi))
+        return values[-1]
 
     monkeypatch.setattr(optim, "_capped_proposal", counted("capped", optim._capped_proposal))
     monkeypatch.setattr(optim, "_lanczos_top", counted("lanczos", optim._lanczos_top))
-    monkeypatch.setattr(TraceNormObjective, "value_and_grad", recording_value_and_grad)
+    monkeypatch.setattr(TraceNormObjective, "expand", recording_expand)
     proposal = PROPOSAL_OF_CASE[case]
     objective, cap, start = _ascent_problem(case)
     assert (cap is not None and start.size > CAP_PROPOSAL_MAX_DIM) == (proposal is None)
@@ -978,3 +976,78 @@ def test_real_data_keeps_one_copy():
     held = [(name, list(_held_arrays(v))) for o in (obj, cap, dual_cap) for name, v in vars(o).items()]
     assert {"_f", "_f_adj", "_adj_id", "_g_choi", "_h", "_h_kron"} <= {name for name, arrays in held if arrays}
     assert {name for name, arrays in held if any(map(np.iscomplexobj, arrays))} == {"_neg", "_neg_h"}
+
+
+def test_extrapolated_uncapped_ascent_passes_the_linear_rate():
+    """On the pair at 16 levels (r = 16, start 0, no cap), 15 steps of the
+    extrapolated Lanczos ascent reach 0.0705; plain steps reached 0.069904."""
+    obj = TraceNormObjective(_attenuator_pair(16).choi, 16, 16, 16)
+    f, _ = optim.ascend(obj, start_vectors(16, 16, 1, seed=0)[0], max_iter=15)
+    assert f >= 0.0705
+
+
+def _converging_capped_problem():
+    """A random difference at d = 3, r = 2 under the oscillator cap at E = 1,
+    with start 1: without extrapolation its ascent stalls after 63 steps
+    (64 expansions) at 1.7493979610785255."""
+    rng = np.random.default_rng(45)
+    diff = HermitianPreservingMap.difference(*(random_channel(rng, 3, 3, 2) for _ in range(2)))
+    cap = EnergyCap(Hamiltonian(np.arange(3) + 0.5), 2, 1.0)
+    return TraceNormObjective(diff.choi, 3, 3, 2, diff.kraus_pair), cap, start_vectors(3, 2, 2, seed=0)[1]
+
+
+def _recording_ascent(monkeypatch, objective, start, cap, max_iter):
+    """ascend, with its expansions, `value` screens (each with the screened
+    point's energy) and proposals recorded."""
+    seen = {"expand": 0, "proposal": 0, "screens": []}
+    expand, value = TraceNormObjective.expand, TraceNormObjective.value
+
+    def recording_expand(self, psi):
+        seen["expand"] += 1
+        return expand(self, psi)
+
+    def recording_value(self, psi):
+        seen["screens"].append(None if cap is None else cap.energy(psi))
+        return value(self, psi)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            seen["proposal"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(TraceNormObjective, "expand", recording_expand)
+    monkeypatch.setattr(TraceNormObjective, "value", recording_value)
+    monkeypatch.setattr(optim, "_capped_proposal", counted(optim._capped_proposal))
+    monkeypatch.setattr(optim, "_lanczos_top", counted(optim._lanczos_top))
+    f, _ = optim.ascend(objective, start, project=cap, max_iter=max_iter)
+    return f, seen
+
+
+def test_extrapolated_capped_ascent_converges_in_fewer_expansions(monkeypatch):
+    """The converging capped ascent ends no lower, to 1e-12 relative, and
+    with at most 75% of the 64 expansions it took without extrapolation."""
+    objective, cap, start = _converging_capped_problem()
+    f, seen = _recording_ascent(monkeypatch, objective, start, cap, 100)
+    assert f >= 1.7493979610785255 * (1.0 - 1e-12)
+    assert seen["screens"] and seen["expand"] <= 0.75 * 64
+
+
+@pytest.mark.parametrize("max_iter", [4, 9, 20, 100])
+@pytest.mark.parametrize("capped", [True, False])
+def test_extrapolation_trials_count_toward_max_iter(monkeypatch, capped, max_iter):
+    """Each proposal and each `value` screen of an extrapolated point counts
+    one step toward max_iter; the only other expansions are the start's and
+    those of screened points that won. Every screened point is within the
+    cap."""
+    if capped:
+        objective, cap, start = _converging_capped_problem()
+    else:
+        objective, cap, start = TraceNormObjective(_attenuator_pair(8).choi, 8, 8, 8), None, start_vectors(8, 8, 2, 0)[1]
+    f, seen = _recording_ascent(monkeypatch, objective, start, cap, max_iter)
+    screens = len(seen["screens"])
+    assert screens and seen["proposal"] + screens <= max_iter
+    assert seen["expand"] <= 1 + seen["proposal"] + screens
+    if capped:
+        assert max(seen["screens"]) <= cap.budget

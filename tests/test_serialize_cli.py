@@ -587,3 +587,15 @@ def test_attenuator_pair_with_falling_dims_starts_each_smaller_pair_afresh(capsy
         rows[dims] = lines[1:]
     assert [row.split(",")[0] for row in rows["6,4"]] == ["6", "4"]
     assert rows["6,4"][1] == rows["4"][0]
+
+
+def test_truncation_ladder_names_no_level_at_full_truncation(capsys):
+    """At 6 levels, row n = 5 names the level it drops (E_5 = 5.5); row n = 6
+    drops none, so its next_level_energy cell is empty and its bound, the
+    compressed map's diamond bound alone, is below the row before."""
+    assert main(["experiment", "truncation-ladder", "--levels", "6", "--restarts", "1", "--max-iter", "20"]) == 0
+    header, *rows = (ln.split(",") for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#"))
+    last = [dict(zip(header, row)) for row in rows[-2:]]
+    assert [row["n"] for row in last] == ["5", "6"]
+    assert [row["next_level_energy"] for row in last] == ["5.5", ""]
+    assert float(last[1]["trunc_bound"]) < float(last[0]["trunc_bound"])

@@ -77,17 +77,21 @@ def _oscillator_cap(d, r, energy):
     return EnergyCap(Hamiltonian(np.arange(d) + 0.5), r, energy)
 
 
-def _capped_problems():
-    """name: (map, r, energy budget on the levels 0.5, 1.5, ...)."""
-    rng = np.random.default_rng(15)
+def _random_difference(seed, d):
+    """The difference of two random channels at d levels, two Kraus operators each."""
+    rng = np.random.default_rng(seed)
 
-    def random_channel(d):
+    def random_channel():
         z = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
         q = np.linalg.qr(z)[0]
         return Channel([q[:d], q[d:]])
 
-    random = HermitianPreservingMap.difference(random_channel(4), random_channel(4))
-    return {"pair8": (_pair(8), 8, 2.0), "random-d4r2": (random, 2, 1.0)}
+    return HermitianPreservingMap.difference(random_channel(), random_channel())
+
+
+def _capped_problems():
+    """name: (map, r, energy budget on the levels 0.5, 1.5, ...)."""
+    return {"pair8": (_pair(8), 8, 2.0), "random-d4r2": (_random_difference(15, 4), 2, 1.0)}
 
 
 def constructor_s():
@@ -127,17 +131,36 @@ def capped_ascent_s():
     return out
 
 
+def converged_ascent_s():
+    """Time of one capped ascent that ends on its stall rule (`optim.ascend`
+    from start 1, at most 100 steps, the capped proposal) on a random
+    difference at d = 3, r = 2, E = 0.8, with a fresh objective per run, and
+    its expansions (`value_and_grad` calls on a tree without `expand`), its
+    `value` screens and its `_DualPoint` evaluations."""
+    m = _random_difference(5, 3)
+    cap = _oscillator_cap(3, 2, 0.8)
+    start = optim.start_vectors(3, 2, 2, 0)[1]
+    cls = optim.TraceNormObjective
+    expand = "expand" if hasattr(cls, "expand") else "value_and_grad"
+    with counting(cls, expand) as expansions, counting(cls, "value") as screens, \
+            counting(optim._DualPoint, "__init__") as points:
+        seconds = timed(lambda obj: optim.ascend(obj, start, cap, 100), lambda: ecd._objective(m, 2))
+    counts = {"expansions": expansions, "value_calls": screens, "dual_points": points}
+    return {"random-d3r2": seconds, **{f"random-d3r2_{k}": len(v) // RUNS for k, v in counts.items()}}
+
+
 def uncapped_ascent_s():
     """Time of one uncapped ascent (`optim.ascend`, 15 iterations, the Lanczos
-    proposal) on the pair at 16 levels (r = 16), and its `apply_sign` calls:
-    from the real start 0, and from start 1, a complex Gaussian, which takes
-    the real factor against complex iterates."""
+    proposal) on the pair at 16 levels (r = 16), and its `apply_sign` and
+    `value_and_grad` calls: from the real start 0, and from start 1, a
+    complex Gaussian, which takes the real factor against complex iterates."""
     obj = ecd._objective(_pair(16), 16)
     out = {}
     for name, start in zip(("pair16", "pair16_complex_start"), optim.start_vectors(16, 16, 2, 0)):
-        with counting(obj, "apply_sign") as calls:
+        with counting(obj, "apply_sign") as calls, counting(obj, "value_and_grad") as grads:
             out[name] = timed(lambda: optim.ascend(obj, start, None, 15))
         out[name + "_apply_sign_calls"] = len(calls) // RUNS
+        out[name + "_value_and_grad_calls"] = len(grads) // RUNS
     return out
 
 
@@ -199,8 +222,8 @@ def cli_outputs():
     return out
 
 
-TIMINGS = {f.__name__: f for f in (constructor_s, capped_proposal_s, capped_ascent_s, uncapped_ascent_s,
-                                   projected_ascent_s, capacity_s, ea_s)}
+TIMINGS = {f.__name__: f for f in (constructor_s, capped_proposal_s, capped_ascent_s, converged_ascent_s,
+                                   uncapped_ascent_s, projected_ascent_s, capacity_s, ea_s)}
 PROBES = {f.__name__: f for f in (brackets, cli_outputs)}
 
 
