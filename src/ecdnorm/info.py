@@ -8,10 +8,14 @@ the average input, enforced by `EnergyCap.project` (each state is mixed
 toward the ground state in closed form, and every state keeps the same
 fraction of its energy above the ground energy). The ascent is batched
 over the ensemble: every output state comes from one product with the
-stacked Kraus operators, and an evaluation makes one stacked
-eigendecomposition of the outputs plus one of their average. The gradient
-step reuses an accepted trial's forward pass; its line search and stop
-rules are the ψ-ascent's (`optim.line_search`).
+stacked Kraus operators. The forward pass holds the eigendecompositions: one
+of the average output and one stacked over the K outputs, each taken on its
+smaller side, ρ_k = A_kA_k† when out ≤ n_kraus, else the n_kraus × n_kraus
+Gram matrix A_k†A_k, which has the same nonzero spectrum (the complementary
+channel's output). χ is read from those spectra, and the gradient reuses the
+eigenvectors, so it makes no eigensolve of its own. The gradient step takes
+an accepted trial's forward pass; its line search and stop rules are the
+ψ-ascent's (`optim.line_search`).
 
 The channel mutual information I(ρ, Φ) = H(ρ) + H(Φ(ρ)) − H(Φ̂(ρ)) is taken
 through the Stinespring dilation: with m the purification's coefficient
@@ -206,7 +210,12 @@ class _EnsembleAscent:
 
     The K states are rows of one (K, d) array; with the Kraus operators
     stacked into V (rows K_j), the (K, n_kraus, out) array of the K_j ψ_k
-    is one product, and every output ρ_k = Σ_j K_j ψ_k ψ_k† K_j† follows.
+    is one product, and every output ρ_k = Σ_j K_j ψ_k ψ_k† K_j† = A_kA_k†
+    follows (A_k has the columns K_j ψ_k). `_forward` also holds `eigh` of
+    the average and of the smaller side of each output: the out × out ρ_k,
+    or A_k†A_k when n_kraus < out. `value` reads χ from their spectra, and
+    `grads` makes no eigensolve: on the Gram side it uses
+    ln(A_kA_k†)A_k = A_k ln(A_k†A_k).
     """
 
     def __init__(self, channel: Channel, h_in: Hamiltonian, budget: float, size: int):
@@ -214,6 +223,8 @@ class _EnsembleAscent:
         self.size = size
         self._kraus = _isometry(channel)
         self._out = channel.out_dim
+        # decompose the n_kraus × n_kraus Gram matrices when they are the smaller side
+        self._gram = len(channel.kraus) < channel.out_dim
 
     def _project(self, psis: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """Cap the energy of the average input: every state is mixed toward
@@ -222,7 +233,8 @@ class _EnsembleAscent:
         return self.cap.project(psis[:, :, None], probs)[:, :, 0]
 
     def _forward(self, logits: np.ndarray, psis: np.ndarray):
-        """Weights, projected states, the K_j ψ_k, the outputs and their average."""
+        """Weights, projected states, the K_j ψ_k, the outputs, their average,
+        and the `eigh` pairs of the average and of the K outputs' smaller side."""
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
         psis = psis / np.linalg.norm(psis, axis=1, keepdims=True)
@@ -230,19 +242,19 @@ class _EnsembleAscent:
         images = (psis @ self._kraus.T).reshape(self.size, -1, self._out)
         outs = np.swapaxes(images, 1, 2) @ images.conj()
         avg = np.tensordot(probs, outs, axes=1)
-        return probs, psis, images, outs, avg
+        # ρ_k = A_k A_k† with A_k = images[k]ᵀ; A_k†A_k has its nonzero spectrum
+        sides = images.conj() @ np.swapaxes(images, 1, 2) if self._gram else outs
+        return probs, psis, images, outs, avg, np.linalg.eigh(avg), np.linalg.eigh(sides)
 
     def value(self, logits: np.ndarray, psis: np.ndarray) -> float:
         """χ at a point; its forward pass is kept in `last` for `grads`."""
-        self.last = probs, _, _, outs, avg = self._forward(logits, psis)
-        return float(_entropy_nd(avg) - probs @ _entropy_nd(outs))
+        self.last = probs, *_, (w_avg, _), (w_sides, _) = self._forward(logits, psis)
+        return float(_spectral_entropy(w_avg) - probs @ _spectral_entropy(w_sides))
 
     def grads(self, forward):
         """χ and its gradients at the point whose `_forward` tuple is given."""
-        probs, psis, images, outs, avg = forward
-        w_outs, v_outs = np.linalg.eigh(outs)
-        w_avg, v_avg = np.linalg.eigh(avg)
-        s_outs = _spectral_entropy(w_outs)
+        probs, psis, images, outs, avg, (w_avg, v_avg), (w_sides, v_sides) = forward
+        s_outs = _spectral_entropy(w_sides)
         chi = float(_spectral_entropy(w_avg) - probs @ s_outs)
 
         def safe_log(w, v):
@@ -250,9 +262,14 @@ class _EnsembleAscent:
             return (v * logs) @ np.swapaxes(v, -1, -2).conj()
 
         log_avg = safe_log(w_avg, v_avg)
-        # state gradients: 2 p_k Φ*(ln ρ_k - ln ρ̄) ψ_k = 2 p_k Σ_j K_j† (diff_k K_j ψ_k)
-        diffs = safe_log(w_outs, v_outs) - log_avg
-        pulled = images @ np.swapaxes(diffs, 1, 2)
+        logs = safe_log(w_sides, v_sides)
+        # state gradients: 2 p_k Φ*(ln ρ_k - ln ρ̄) ψ_k = 2 p_k Σ_j K_j† (diff_k K_j ψ_k);
+        # row j of pulled[k] is (ln ρ_k - ln ρ̄) K_j ψ_k, and on the Gram side
+        # ln(A_k A_k†) A_k = A_k ln(A_k†A_k)
+        if self._gram:
+            pulled = np.swapaxes(logs, 1, 2) @ images - images @ log_avg.T
+        else:
+            pulled = images @ np.swapaxes(logs - log_avg, 1, 2)
         grad_psis = 2.0 * probs[:, None] * (pulled.reshape(self.size, -1) @ self._kraus.conj())
         # probability gradients through the softmax: dχ/dp_k = -Tr[ρ_k ln ρ̄] - H(ρ_k)
         dchi = -np.einsum("kab,ba->k", outs, log_avg).real - s_outs

@@ -454,6 +454,38 @@ def test_ensemble_ascent_eigensolve_count(monkeypatch):
         assert calls <= 2
 
 
+def test_ensemble_ascent_decomposes_the_smaller_side(monkeypatch):
+    """A forward pass decomposes the average output and, for the K outputs,
+    whichever is smaller: the identity's 1 × 1 Gram matrices A_k†A_k (one
+    Kraus operator, 6 levels) or the attenuator's 6 × 6 outputs (6 Kraus
+    operators). On the identity, χ read from the Gram spectra is the mapped
+    ensemble's Holevo quantity."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    h = TruncatedOscillator(6).hamiltonian
+    rng = np.random.default_rng(29)
+    size = 4
+    logits = rng.standard_normal(size)
+    psis = rng.standard_normal((size, 6)) + 1j * rng.standard_normal((size, 6))
+    for channel, stack in ((attenuator(6, 0.7), (size, 6, 6)), (identity_channel(6), (size, 1, 1))):
+        ascent = _EnsembleAscent(channel, h, 1.5, size)
+        shapes.clear()
+        ascent._forward(logits, psis)
+        assert sorted(shapes) == sorted([stack, (6, 6)])
+    probs = _softmax(logits)
+    states = ascent._project(psis / np.linalg.norm(psis, axis=1, keepdims=True), probs)
+    ensemble = Ensemble(tuple(probs), tuple(DensityOperator.pure(s) for s in states))
+    chi = holevo_quantity(ensemble.map_through(channel))
+    assert chi > 0.1
+    assert abs(ascent.value(logits, psis) - chi) < 1e-12
+
+
 def test_capacity_estimate_identity_channel():
     h = Hamiltonian([0.0, 0.8, 1.9])
     budget = 0.6

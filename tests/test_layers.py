@@ -2,8 +2,10 @@
 this tree, so a layer that calls or counts a library attribute that no
 longer exists fails here rather than in a bench pair run."""
 
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ecdnorm import info, optim
@@ -22,10 +24,13 @@ CASES = {
         "pair16_complex_start", "pair16_complex_start_apply_sign_calls", "pair16_complex_start_value_and_grad_calls",
     },
     "projected_ascent_s": {"pair24", "pair24_value_and_grad_calls", "pair24_sign_value_calls"},
-    "capacity_s": {"attenuator12", "attenuator12_value_calls"},
+    "capacity_s": {
+        f"{case}{key}" for case in ("attenuator12", "identity12")
+        for key in ("", "_value_calls", "_eigensolves", "_eigensolve_n3")
+    },
     "ea_s": {"levels16_E2"},
 }
-COUNTED = (optim._DualPoint, optim.TraceNormObjective, info._EnsembleAscent)
+COUNTED = (optim._DualPoint, optim.TraceNormObjective, info._EnsembleAscent, np.linalg)
 
 
 @pytest.fixture
@@ -52,10 +57,11 @@ def test_timing_runs_and_puts_back_what_it_counts(layers, name):
 
 
 def test_a_row_counts_the_same_on_every_run(layers):
-    """The calls a row counts are exact: two runs of converged_ascent_s give
-    the same counts, whatever their timings."""
-    first, second = ({k: v for k, v in layers.converged_ascent_s().items() if isinstance(v, int)} for _ in range(2))
-    assert len(first) == 3 and first == second
+    """The calls a row counts are exact: two runs of converged_ascent_s, and
+    two of capacity_s, give the same counts, whatever their timings."""
+    for row, count_keys in ((layers.converged_ascent_s, 3), (layers.capacity_s, 6)):
+        first, second = ({k: v for k, v in row().items() if isinstance(v, int)} for _ in range(2))
+        assert len(first) == count_keys and first == second
 
 
 def test_counting_restores_an_instance_attribute(layers):
@@ -74,3 +80,26 @@ def test_probes_cover_every_task(layers):
     outputs = layers.cli_outputs()
     assert len(outputs) == len(workloads.pool("bounds-cli"))
     assert all(code == 0 and text for code, text in outputs.values())
+
+
+def test_bench_pairs_reports_counts_exactly(layers):
+    """A layer row's integer cases are listed as counts, parent and change
+    side by side, and a case whose runs disagree is flagged with all its runs;
+    the timing summary keeps only the timed cases."""
+    import bench_pairs
+
+    runs = {
+        "parent": [{"t": 1.0, "n": 34, "m": 5}, {"t": 2.0, "n": 34, "m": 5}],
+        "change": [{"t": 0.5, "n": 34, "m": 4}, {"t": 0.7, "n": 34, "m": 6}],
+    }
+    assert bench_pairs.count_deltas(runs) == {
+        "n": {"parent": 34, "change": 34, "steady": True},
+        "m": {"parent": 5, "change": [4, 6], "steady": False},
+    }
+    assert set(bench_pairs.timing_summary(runs["parent"])) == {"t"}
+
+
+def test_ci_runs_every_timing(layers):
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    step = workflow.split("Layer timings from the command line")[1].split("- name:")[0]
+    assert set(re.findall(r"\w+", step)) >= set(layers.TIMINGS)

@@ -8,7 +8,10 @@ Each of PAIRS pairs runs in both checkouts, the parent first in even pairs:
 `run_seconds` of BENCHMARK.json), then each layer timing of this checkout's
 `tools/layers.py` (its TIMINGS). Each runs in a fresh process, in the
 measured checkout, with one BLAS thread. It keeps every run, the medians of
-the workload metrics and each timing's quartiles per side. Through the
+the workload metrics and each timing's quartiles per side. A layer row's
+integer-valued cases are counts, which are exact: its `counts` gives them
+for parent and change side by side, with `steady` false where a side's
+runs disagree (`count_deltas`). Through the
 probes of `tools/layers.py` it records how far every bracket's lower and
 upper value moved (`bracket_drift`), and the bounds-cli stdouts that differ,
 each with the largest relative change of its numbers (`cli_drift`; numbers
@@ -95,13 +98,33 @@ def verdicts(runs) -> dict:
     return out
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def timing_summary(runs) -> dict:
-    """Per case: every run, the median and the quartiles of a timing's runs."""
+    """Per timed case: every run, the median and the quartiles of a timing's runs."""
     out = {}
     for case in runs[0]:
+        if _is_count(runs[0][case]):
+            continue
         values = [r[case] for r in runs]
         quartiles = statistics.quantiles(values, n=4, method="inclusive")
         out[case] = {"runs": values, "median": quartiles[1], "quartiles": quartiles}
+    return out
+
+
+def count_deltas(runs) -> dict:
+    """Per integer-valued case of a layer row, each side's count, and
+    `steady`: false where a side's runs disagree, and that side then gives
+    all its runs."""
+    out = {}
+    for case, first in runs["parent"][0].items():
+        if not _is_count(first):
+            continue
+        values = {side: [r[case] for r in rs] for side, rs in runs.items()}
+        out[case] = {side: v[0] if len(set(v)) == 1 else v for side, v in values.items()}
+        out[case]["steady"] = all(len(set(v)) == 1 for v in values.values())
     return out
 
 
@@ -156,7 +179,7 @@ def main(argv=None) -> int:
         median = {side: medians(r) for side, r in runs[workload].items()}
         doc["workloads"][workload] = {"median": median, "runs": runs[workload], "verdicts": verdicts(runs[workload])}
     for name in layers.TIMINGS:
-        doc[name] = {side: timing_summary(r) for side, r in runs[name].items()}
+        doc[name] = {**{side: timing_summary(r) for side, r in runs[name].items()}, "counts": count_deltas(runs[name])}
     per_task = drift(*(layer("brackets", c) for c in sides.values()))
     doc["bracket_drift"] = {
         "max_lower_rel": max(d["lower"] for d in per_task.values()),

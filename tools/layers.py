@@ -6,12 +6,14 @@
 Run so, it imports `ecdnorm` from the working directory's `src` and the
 bench's `workloads` from its `perfbench`, so one copy measures any checkout.
 Importing it runs nothing. A timing is the median of RUNS runs (`timed`); a
-count is the calls made over those runs (`counting`), divided by RUNS.
+count is the calls made over those runs (`counting`), or a sum over them,
+divided by RUNS. Counts are exact: two runs of a row give the same ones.
 """
 
 import argparse
 import contextlib
 import json
+import math
 import statistics
 import sys
 import tempfile
@@ -27,7 +29,7 @@ if __name__ == "__main__":
 import ecdnorm.cli  # noqa: E402
 import workloads  # noqa: E402
 from ecdnorm import Channel, EnergyCap, Hamiltonian, HermitianPreservingMap, TruncatedOscillator  # noqa: E402
-from ecdnorm import attenuator, ecd, holevo_capacity_estimate, info, optim  # noqa: E402
+from ecdnorm import attenuator, ecd, holevo_capacity_estimate, identity_channel, info, optim  # noqa: E402
 
 RUNS = 9
 
@@ -47,15 +49,16 @@ def timed(run, setup=None, repeat=1) -> float:
 
 
 @contextlib.contextmanager
-def counting(owner, name):
-    """Count the calls of owner.name inside the block, one list entry a call;
-    owner.name is put back as it was on leaving."""
+def counting(owner, name, keep=lambda *args, **kwargs: None):
+    """Count the calls of owner.name inside the block, one list entry a call:
+    what `keep` returns for the call's arguments. owner.name (a class, an
+    instance or a module attribute) is put back as it was on leaving."""
     own = vars(owner).get(name)
     wrapped = getattr(owner, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(keep(*args, **kwargs))
         return wrapped(*args, **kwargs)
 
     setattr(owner, name, counted)
@@ -179,15 +182,27 @@ def projected_ascent_s():
     return {"pair24": seconds, **calls}
 
 
+def _shape(matrices, *args, **kwargs):
+    return np.shape(matrices)
+
+
 def capacity_s():
-    """Time of one `holevo_capacity_estimate` of the 0.7 attenuator at 12 levels
-    (E = 1.5, 2 restarts of at most 25 steps: the bench's `cap-est` setting),
-    and its `_EnsembleAscent.value` calls."""
+    """Time of one `holevo_capacity_estimate` at 12 levels (E = 1.5, 2 restarts
+    of at most 25 steps: the bench's `cap-est` setting) of the 0.7 attenuator
+    and of the identity, its `_EnsembleAscent.value` calls, and its
+    eigensolves: the matrices that `np.linalg.eigh` and `eigvalsh` decompose,
+    a stack of K counting as K, and the sum of n³ over them."""
     h = TruncatedOscillator(12, 1.0).hamiltonian
-    channel = attenuator(12, 0.7)
-    with counting(info._EnsembleAscent, "value") as calls:
-        seconds = timed(lambda: holevo_capacity_estimate(channel, h, 1.5, restarts=2, max_iter=25))
-    return {"attenuator12": seconds, "attenuator12_value_calls": len(calls) // RUNS}
+    out = {}
+    for name, channel in (("attenuator12", attenuator(12, 0.7)), ("identity12", identity_channel(12))):
+        with counting(info._EnsembleAscent, "value") as calls, \
+                counting(np.linalg, "eigh", _shape) as eighs, counting(np.linalg, "eigvalsh", _shape) as eigvals:
+            out[name] = timed(lambda: holevo_capacity_estimate(channel, h, 1.5, restarts=2, max_iter=25))
+        stacks = [(math.prod(shape[:-2]), shape[-1]) for shape in eighs + eigvals]
+        out[name + "_value_calls"] = len(calls) // RUNS
+        out[name + "_eigensolves"] = sum(k for k, _ in stacks) // RUNS
+        out[name + "_eigensolve_n3"] = sum(k * n**3 for k, n in stacks) // RUNS
+    return out
 
 
 def ea_s():
