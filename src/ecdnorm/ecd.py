@@ -101,8 +101,8 @@ def ecd_objective(problem: EcdProblem, psi) -> float:
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if psi.size != problem.map.in_dim * problem.r_dim:
         raise ValueError("witness length does not match in_dim * r_dim")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("witness must be a unit vector")
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:  # NaN fails it too
+        raise ValueError("witness must be a finite unit vector")
     cap = EnergyCap(problem.h_in, problem.r_dim, problem.energy)
     if cap.energy(psi) > problem.energy + 1e-9:
         raise ValueError("witness violates the energy budget")
@@ -193,8 +193,10 @@ def _estimate(
     The lower value is the best objective over `restarts` deterministic
     multi-start ascents plus any extra_starts; the upper value is the least
     of the certificates named in the module docstring, the dual bounds all
-    under one cap on input states (r_dim 1).
+    under one cap on input states (r_dim 1). ValueError for fewer than 1 restart.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     cap = None if problem is None else EnergyCap(problem.h_in, r_dim, problem.energy)
     objective = _objective(the_map, r_dim)
     lower, witness = multistart_ascend(

@@ -13,9 +13,9 @@ of the average output and one stacked over the K outputs, each taken on its
 smaller side, ρ_k = A_kA_k† when out ≤ n_kraus, else the n_kraus × n_kraus
 Gram matrix A_k†A_k, which has the same nonzero spectrum (the complementary
 channel's output). χ is read from those spectra, and the gradient reuses the
-eigenvectors, so it makes no eigensolve of its own. The gradient step takes
-an accepted trial's forward pass; its line search and stop rules are the
-ψ-ascent's (`optim.line_search`).
+eigenvectors, so it makes no eigensolve of its own. The ascent is the
+ψ-ascent's backtracking loop, `optim.gradient_ascent`, fed the forward pass
+of each accepted trial.
 
 The channel mutual information I(ρ, Φ) = H(ρ) + H(Φ(ρ)) − H(Φ̂(ρ)) is taken
 through the Stinespring dilation: with m the purification's coefficient
@@ -41,8 +41,7 @@ from .operators import (
     matrix_of,
     partial_trace,
 )
-from .optim import EnergyCap, EnergyConstrainedSup, energy_constrained_sup
-from .optim import VANISHING_GRAD, _stalled, line_search
+from .optim import EnergyCap, EnergyConstrainedSup, energy_constrained_sup, gradient_ascent
 from .thermo import gibbs_multiplier
 
 SUPPORT_TOL = 1e-12
@@ -94,7 +93,7 @@ def relative_entropy(rho, sigma) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Finite ensemble of states with strictly positive probabilities."""
+    """Finite ensemble of states with finite, strictly positive probabilities."""
 
     probs: tuple[float, ...]
     states: tuple[DensityOperator, ...]
@@ -104,8 +103,8 @@ class Ensemble:
         states = tuple(self.states)
         if len(probs) != len(states) or not probs:
             raise ValueError("ensemble needs matching, nonempty probabilities and states")
-        if any(p <= 0.0 for p in probs):
-            raise ValueError("ensemble probabilities must be strictly positive")
+        if not all(0.0 < p < math.inf for p in probs):
+            raise ValueError("ensemble probabilities must be finite and strictly positive")
         if abs(sum(probs) - 1.0) > 1e-10:
             raise ValueError("ensemble probabilities must sum to one")
         d = states[0].dimension
@@ -298,8 +297,8 @@ def holevo_capacity_estimate(
     below the ground energy; ValueError for fewer than 1 restart or state,
     or for a Hamiltonian whose dimension is not the channel's input's.
 
-    The step, the gradient over its largest block norm, reuses the accepted
-    trial's forward pass; `optim.line_search` sets its length, at most 8.
+    Each restart runs `optim.gradient_ascent`, with steps of at most 8 along
+    the gradient over its largest block norm.
     """
     d = channel.in_dim
     if h_in.dimension != d:
@@ -308,6 +307,17 @@ def holevo_capacity_estimate(
     if size < 1 or restarts < 1:
         raise ValueError("ensemble size and restarts must be at least 1")
     problem = _EnsembleAscent(channel, h_in, energy_budget, size)
+
+    def gradient(point):
+        chi, g_logits, g_psis = problem.grads(point[2])
+        scale = max(np.linalg.norm(g_logits), np.max(np.linalg.norm(g_psis, axis=1)))
+        return chi, (g_logits, g_psis, scale), scale
+
+    def trial(point, direction, a):
+        (logits, psis, _), (g_logits, g_psis, scale) = point, direction
+        cand = logits + a * g_logits / scale, psis + a * g_psis / scale
+        return problem.value(*cand), (*cand, problem.last)
+
     best = 0.0
     for r in range(restarts):
         if r == 0:
@@ -320,26 +330,6 @@ def holevo_capacity_estimate(
             logits = 0.3 * rng.standard_normal(size)
             psis = rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))
             psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-        f, forward = problem.value(logits, psis), problem.last
-        alpha = 0.25
-        history = [f]
-        for _ in range(max_iter):
-            f_cur, g_logits, g_psis = problem.grads(forward)
-            f = max(f, f_cur)
-            scale = max(np.linalg.norm(g_logits), np.max(np.linalg.norm(g_psis, axis=1)))
-            if scale <= VANISHING_GRAD * max(1.0, f):
-                break
-
-            def trial(a):
-                cand = logits + a * g_logits / scale, psis + a * g_psis / scale
-                return problem.value(*cand), (*cand, problem.last)
-
-            step = line_search(trial, f, alpha, 8.0)
-            if step is None:
-                break
-            alpha, f, (logits, psis, forward) = step
-            history.append(f)
-            if _stalled(history):
-                break
-        best = max(best, f)
+        problem.value(logits, psis)
+        best = max(best, gradient_ascent((logits, psis, problem.last), gradient, trial, 8.0, max_iter)[0])
     return best

@@ -1,26 +1,25 @@
 """Shared numerical machinery.
 
-Monotone ascent on the unit sphere with one proposal kind per problem (the
-capped proposal under a small energy cap, a projected gradient step under a
-larger cap, the Lanczos Ritz vector with no cap, its Krylov space stopped at
-a converged top Ritz pair), the fixed-point proposals (capped and Lanczos)
-extrapolated by SQUAREM, each extrapolation trial screened by the exact
-objective and counted as a step, stopped by the first proposal that does
-not improve; the trace-norm objective, with the Choi factor F kept as an
-(in, out·rank) matrix and F† as an (out·rank, in) one, so that an output's
-factor and a sign matrix's pull-back are one GEMM each; deterministic
-multi-starts; a golden-section search; and one solver for maximizing a
-linear functional over energy-bounded states: the one-dimensional dual
-min_{μ≥0} λmax(G − μK) + μE, minimized by safeguarded Newton steps on
-Danskin's derivative E − ⟨v|K|v⟩ inside the closed-form bracket [0, μ_max]
-and stopped on its duality gap, the least dual value less the value of the
-feasible state it returns with it; the capped proposal, the dual
-certificates of `TraceNormObjective.dual_bound` and `energy_constrained_sup`
-all use it. The engine computes in the dtype of its data: where data
-enters it, `_exact_real` turns a complex array with an imaginary part of
-exactly 0 into its real part, so a real Kraus pair, H and start run every
-GEMM, QR and eigh in float64. A complex iterate meets the same real F, H
-or K, which numpy promotes to complex128 for that product.
+Monotone ascent on the unit sphere (the capped proposal under a small energy
+cap, the Lanczos Ritz vector with no cap, both extrapolated by SQUAREM, each
+trial screened by the exact objective; a larger cap hands over to
+`gradient_ascent`, the one backtracking loop, with its step schedule and
+stop rules, that the capacity estimator runs too), stopped by the first
+proposal that does not improve; the trace-norm objective, with the Choi
+factor F kept as an (in, out·rank) matrix and F† as an (out·rank, in) one,
+so that an output's factor and a sign matrix's pull-back are one GEMM each;
+deterministic multi-starts; a golden-section search; and one solver for
+maximizing a linear functional over energy-bounded states: the
+one-dimensional dual min_{μ≥0} λmax(G − μK) + μE, minimized by safeguarded
+Newton steps on Danskin's derivative E − ⟨v|K|v⟩ inside the closed-form
+bracket [0, μ_max] and stopped on its duality gap, the least dual value less
+the value of the feasible state it returns with it; the capped proposal, the
+dual certificates of `TraceNormObjective.dual_bound` and
+`energy_constrained_sup` all use it. The engine computes in the dtype of its
+data: where data enters it, `_exact_real` turns a complex array with an
+imaginary part of exactly 0 into its real part, so a real Kraus pair, H and
+start run every GEMM, QR and eigh in float64. A complex iterate meets the
+same real F, H or K, which numpy promotes to complex128 for that product.
 """
 
 from __future__ import annotations
@@ -66,25 +65,37 @@ def _halving(shortfalls) -> bool:
     return len(s) == 3 and min(s) > 0.0 and all(abs(b / a - 0.5) <= HALVING_TOL for a, b in zip(s, s[1:]))
 
 
-def line_search(trial, f: float, alpha: float, alpha_max: float):
-    """Halve alpha until trial(alpha), a (value, candidate) pair, beats f, and
-    return (min(1.3·α, alpha_max), value, candidate); None below 1e-12, or
-    once the last three shortfalls f − f(α) halve with α (`_halving`): then
-    f(α) − f ≈ α·D with D < 0, and no shorter step gains."""
-    shortfalls = []
-    while alpha >= 1e-12 and not _halving(shortfalls):
-        value, cand = trial(alpha)
-        if value > f:
-            return min(1.3 * alpha, alpha_max), value, cand
-        shortfalls.append(f - value)
-        alpha *= 0.5
-    return None
-
-
 def _stalled(history) -> bool:
     """The last STALL_WINDOW accepted steps gained at most STALL_REL_TOL relative."""
     f = history[-1]
     return len(history) > STALL_WINDOW and f - history[-STALL_WINDOW - 1] <= STALL_REL_TOL * max(1.0, abs(f))
+
+
+def gradient_ascent(point, gradient, trial, alpha_max: float, max_iter: int):
+    """(f, point) at the end of a backtracking ascent from point, where
+    gradient(point) gives (f, direction, size) and trial(point, direction, α)
+    a (value, candidate) pair. A step halves α (0.25 at first) until a trial
+    beats f, moves there and takes min(1.3·α, alpha_max) as the next α; it
+    fails below 1e-12, or once the last three shortfalls f − f(α) halve with α
+    (`_halving`): then f(α) − f ≈ α·D with D < 0, and no shorter step gains.
+    Stops there, at a size of at most VANISHING_GRAD·max(1, |f|), on a stall
+    (`_stalled`) or after max_iter steps."""
+    f, direction, size = gradient(point)
+    alpha, history = 0.25, [f]
+    while len(history) <= max_iter and size > VANISHING_GRAD * max(1.0, abs(f)) and not _stalled(history):
+        shortfalls = []
+        while alpha >= 1e-12 and not _halving(shortfalls):
+            value, cand = trial(point, direction, alpha)
+            if value > f:
+                break
+            shortfalls.append(f - value)
+            alpha *= 0.5
+        else:
+            break
+        alpha, point = min(1.3 * alpha, alpha_max), cand
+        f, direction, size = gradient(point)
+        history.append(f)
+    return f, point
 
 
 def check_energy_budget(hamiltonian: Hamiltonian, budget: float) -> None:
@@ -606,7 +617,8 @@ def ascend(
 
     An `EnergyCap` at psi.size <= CAP_PROPOSAL_MAX_DIM takes `_capped_proposal`
     (the exact maximizer of the linearization under the cap), a larger cap
-    takes a projected gradient step whose length halves until it improves,
+    hands the ascent to `gradient_ascent` (capped steps along the tangent of
+    the gradient, of at most 32 tangents, each trial scored by `sign_value`),
     and no cap takes the Lanczos Ritz vector of the linearization, whose
     first product is the gradient already at hand and whose Krylov space
     stops once its top Ritz pair has converged (`_lanczos_top`). Candidates
@@ -621,23 +633,30 @@ def ascend(
     (a real ψ stays real), their S3 point, capped, replaces ψ2 if its exact
     `objective.value` is higher, and the next two steps start from there.
     Each proposal and each such trial is one of the max_iter steps; a trial
-    that wins is expanded as part of it. Stops at the first candidate that
-    does not improve (for the gradient step, of at most 32 tangents, when
-    `line_search` gives up or the tangent vanishes), on a stall
-    (`_stalled`), or after max_iter steps.
+    that wins is expanded as part of it. Stops at the first proposal that
+    does not improve, on a stall (`_stalled`), or after max_iter steps.
     """
     psi = normalize(_exact_real(np.asarray(start, dtype=np.complex128).reshape(-1)))
     if project is not None:
         psi = project(psi)
-    dense_cap = project is not None and psi.size <= CAP_PROPOSAL_MAX_DIM
-    fixed_point = dense_cap or project is None
+    if project is not None and psi.size > CAP_PROPOSAL_MAX_DIM:
 
-    def expand(x):
-        return (objective.expand(x), None) if dense_cap else objective.value_and_grad(x)
+        def gradient(x):
+            f, grad = objective.value_and_grad(x)
+            tang = grad - np.vdot(x, grad).real * x
+            return f, tang, np.linalg.norm(tang)
+
+        def trial(x, tang, a):
+            cand = project(normalize(x + a * tang))
+            return objective.sign_value(cand), cand
+
+        return gradient_ascent(psi, gradient, trial, 32.0, max_iter)
+
+    def expand(x):  # the dense cap's proposal reads no gradient
+        return (objective.expand(x), None) if project is not None else objective.value_and_grad(x)
 
     mu_hint = 0.0
     f, grad = expand(psi)
-    alpha = 0.25
     history = [f]
     trail = [psi]
     left = max_iter  # steps: proposals and extrapolation trials
@@ -652,20 +671,7 @@ def ascend(
                 continue
             psi = trail[0] = x
         else:
-            if not fixed_point:
-                tang = grad - np.vdot(psi, grad).real * psi
-                if np.linalg.norm(tang) <= VANISHING_GRAD * max(1.0, abs(f)):
-                    break
-
-                def trial(a):
-                    cand = project(normalize(psi + a * tang))
-                    return objective.sign_value(cand), cand
-
-                step = line_search(trial, f, alpha, 32.0)
-                if step is None:
-                    break
-                alpha, value, cand = step
-            elif dense_cap:
+            if project is not None:
                 cand, value, mu_hint = _capped_proposal(objective, project, mu_hint)
             else:
                 cand = _lanczos_top(objective.apply_sign, psi, 0.5 * grad)
@@ -674,10 +680,9 @@ def ascend(
                 value = objective.sign_value(cand)
             if value <= f:
                 break
-            if fixed_point:
-                c = np.vdot(psi, cand)  # align the phase: ⟨ψ_prev|ψ⟩ real and ≥ 0
-                cand = cand * (np.conj(c) / abs(c)) if c else cand
-                trail.append(cand)
+            c = np.vdot(psi, cand)  # align the phase: ⟨ψ_prev|ψ⟩ real and ≥ 0
+            cand = cand * (np.conj(c) / abs(c)) if c else cand
+            trail.append(cand)
             psi = cand
         f, grad = expand(psi)
         history.append(f)
@@ -717,7 +722,7 @@ def start_vectors(
     m0 = np.zeros((in_dim, r_dim))
     m0[np.arange(k), np.arange(k)] = 1.0 / np.sqrt(k)
     starts.append(m0.reshape(-1))
-    for r in range(1, max(1, restarts)):
+    for r in range(1, restarts):
         rng = np.random.default_rng([int(seed), r])
         z = rng.standard_normal(in_dim * r_dim) + 1j * rng.standard_normal(in_dim * r_dim)
         starts.append(normalize(z))

@@ -20,8 +20,8 @@ class TruncatedOscillator:
     def __post_init__(self):
         if self.levels < 2:
             raise ValueError("a truncated oscillator needs at least 2 levels")
-        if self.hbar_omega <= 0.0:
-            raise ValueError("the mode frequency must be positive")
+        if not 0.0 < self.hbar_omega < math.inf:
+            raise ValueError("the mode frequency must be positive and finite")
 
     @property
     def hamiltonian(self) -> Hamiltonian:

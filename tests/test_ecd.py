@@ -139,6 +139,10 @@ def test_objective_validates_witness():
         ecd_objective(problem, np.ones(5))  # wrong length
     with pytest.raises(ValueError):
         ecd_objective(problem, 0.5 * np.ones(6))  # not normalized
+    nan = np.full(6, 1.0 / math.sqrt(6.0))
+    nan[0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        ecd_objective(problem, nan)  # NaN compares False with any tolerance
     # top-level eigenvector violates any budget below the top eigenvalue
     hot = np.zeros(6)
     hot[-2] = 1.0
@@ -159,6 +163,20 @@ def test_problem_validation():
         EcdProblem(the_map, h, 1.0, r_dim=0)
     with pytest.raises(ValueError, match="reference dimension"):
         estimate_diamond_norm(the_map, r_dim=0)
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_fewer_than_one_restart_is_rejected(restarts):
+    """As in `holevo_capacity_estimate`: no bracket quietly runs one start instead."""
+    rng = np.random.default_rng(44)
+    the_map, _, _ = _random_difference(rng, 3)
+    h = Hamiltonian([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="restarts"):
+        estimate_ecd_norm(EcdProblem(the_map, h, 1.0), restarts=restarts, max_iter=5)
+    with pytest.raises(ValueError, match="restarts"):
+        estimate_diamond_norm(the_map, restarts=restarts, max_iter=5)
+    with pytest.raises(ValueError, match="restarts"):
+        subspace_seminorm(the_map, h, 2, restarts=restarts, max_iter=5)
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])

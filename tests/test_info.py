@@ -115,6 +115,8 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         Ensemble((1.0, 0.0), (rho, rho))  # zero weight
     with pytest.raises(ValueError):
+        Ensemble((math.nan, 1.0), (rho, rho))  # NaN passes both comparisons
+    with pytest.raises(ValueError):
         Ensemble((0.5, 0.5), (rho, ginibre_density(rng, 3)))  # mixed dims
 
 

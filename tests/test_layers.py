@@ -26,7 +26,7 @@ CASES = {
     "projected_ascent_s": {"pair24", "pair24_value_and_grad_calls", "pair24_sign_value_calls"},
     "capacity_s": {
         f"{case}{key}" for case in ("attenuator12", "identity12")
-        for key in ("", "_value_calls", "_eigensolves", "_eigensolve_n3")
+        for key in ("", "_value_calls", "_grads_calls", "_eigensolves", "_eigensolve_n3")
     },
     "ea_s": {"levels16_E2"},
 }
@@ -59,7 +59,7 @@ def test_timing_runs_and_puts_back_what_it_counts(layers, name):
 def test_a_row_counts_the_same_on_every_run(layers):
     """The calls a row counts are exact: two runs of converged_ascent_s, and
     two of capacity_s, give the same counts, whatever their timings."""
-    for row, count_keys in ((layers.converged_ascent_s, 3), (layers.capacity_s, 6)):
+    for row, count_keys in ((layers.converged_ascent_s, 3), (layers.capacity_s, 8)):
         first, second = ({k: v for k, v in row().items() if isinstance(v, int)} for _ in range(2))
         assert len(first) == count_keys and first == second
 

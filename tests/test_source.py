@@ -1,6 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-every name the package exports exists, once, and every class attribute
-the bench's tracer wraps exists."""
+"""Source hygiene: no module of the package imports a name it never uses
+or an underscore name of another module, every name the package exports
+exists, once, and every class attribute the bench's tracer wraps exists."""
 
 import ast
 from collections import Counter
@@ -44,6 +44,30 @@ def test_the_check_finds_an_unused_import():
 )
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that module-level relative imports take from
+    another module of the package."""
+    return [
+        a.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+
+
+def test_the_check_finds_a_private_import():
+    source = "from .optim import EnergyCap, _stalled\nfrom numpy import _pytesttester\n"
+    assert private_imports(source) == ["_stalled"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    """A module's underscore names are its own: another module that needs
+    one calls a public function instead."""
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_export_resolves_once():

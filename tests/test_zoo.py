@@ -83,6 +83,9 @@ def test_truncated_oscillator_hamiltonian():
         TruncatedOscillator(1)
     with pytest.raises(ValueError):
         TruncatedOscillator(3, hbar_omega=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TruncatedOscillator(3, hbar_omega=bad)
 
 
 def test_attenuator_endpoints():

@@ -189,17 +189,18 @@ def _shape(matrices, *args, **kwargs):
 def capacity_s():
     """Time of one `holevo_capacity_estimate` at 12 levels (E = 1.5, 2 restarts
     of at most 25 steps: the bench's `cap-est` setting) of the 0.7 attenuator
-    and of the identity, its `_EnsembleAscent.value` calls, and its
+    and of the identity, its `_EnsembleAscent.value` and `grads` calls, and its
     eigensolves: the matrices that `np.linalg.eigh` and `eigvalsh` decompose,
     a stack of K counting as K, and the sum of n³ over them."""
     h = TruncatedOscillator(12, 1.0).hamiltonian
     out = {}
     for name, channel in (("attenuator12", attenuator(12, 0.7)), ("identity12", identity_channel(12))):
-        with counting(info._EnsembleAscent, "value") as calls, \
+        with counting(info._EnsembleAscent, "value") as calls, counting(info._EnsembleAscent, "grads") as grads, \
                 counting(np.linalg, "eigh", _shape) as eighs, counting(np.linalg, "eigvalsh", _shape) as eigvals:
             out[name] = timed(lambda: holevo_capacity_estimate(channel, h, 1.5, restarts=2, max_iter=25))
         stacks = [(math.prod(shape[:-2]), shape[-1]) for shape in eighs + eigvals]
         out[name + "_value_calls"] = len(calls) // RUNS
+        out[name + "_grads_calls"] = len(grads) // RUNS
         out[name + "_eigensolves"] = sum(k for k, _ in stacks) // RUNS
         out[name + "_eigensolve_n3"] = sum(k * n**3 for k, n in stacks) // RUNS
     return out
