@@ -8,17 +8,19 @@ A multi-start monotone ascent gives a certified achievable lower value and
 its witness. Each ascent takes one proposal kind (the capped maximizer of
 the sign linearization at psi.size <= 64, a projected gradient step under a
 larger cap, the Lanczos Ritz vector with no cap) and stops at the first
-proposal that does not improve, or on a stall. The upper side of the bracket
-is the cheapest of the weak-duality certificates of Watrous's SDP with the
-energy cap added (`TraceNormObjective.dual_bound`), one per input state: the
-maximally mixed state, whose member is the Choi diamond bound, the witness's
-input state and, under a cap, the max-entropy state at the budget (the
-Gibbs state below the mean energy); a channel difference adds the generic 2
-and, under a cap, a Stinespring-alignment bound. Estimates never exceed certificates, so the
-pair brackets the true norm. The unconstrained diamond norm is the member of
-the family with no energy cap, bracketed by the same routine. The factor of
-the Choi matrix behind both comes from a map's Kraus pair when it carries
-one (a rank-sized QR), else from `eigh` of the whole Choi matrix.
+Lanczos proposal that does not improve, at the first capped one that gains
+no more than the duality gap it is solved to, or on a stall. The upper side
+of the bracket is the cheapest of the weak-duality certificates of Watrous's
+SDP with the energy cap added (`TraceNormObjective.dual_bound`), one per
+input state: the maximally mixed state, whose member is the Choi diamond
+bound, the witness's input state and, under a cap, the max-entropy state at
+the budget (the Gibbs state below the mean energy); a channel difference
+adds the generic 2 and, under a cap, a Stinespring-alignment bound.
+Estimates never exceed certificates, so the pair brackets the true norm. The
+unconstrained diamond norm is the member of the family with no energy cap,
+bracketed by the same routine. The factor of the Choi matrix behind both
+comes from a map's Kraus pair when it carries one (a rank-sized QR), else
+from `eigh` of the whole Choi matrix.
 """
 
 from __future__ import annotations
@@ -193,10 +195,9 @@ def _estimate(
     The lower value is the best objective over `restarts` deterministic
     multi-start ascents plus any extra_starts; the upper value is the least
     of the certificates named in the module docstring, the dual bounds all
-    under one cap on input states (r_dim 1). ValueError for fewer than 1 restart.
+    under one cap on input states (r_dim 1). ValueError for fewer than 1
+    restart, from `start_vectors`.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     cap = None if problem is None else EnergyCap(problem.h_in, r_dim, problem.energy)
     objective = _objective(the_map, r_dim)
     lower, witness = multistart_ascend(

@@ -5,11 +5,12 @@ cap, the Lanczos Ritz vector with no cap, both extrapolated by SQUAREM, each
 trial screened by the exact objective; a larger cap hands over to
 `gradient_ascent`, the one backtracking loop, with its step schedule and
 stop rules, that the capacity estimator runs too), stopped by the first
-proposal that does not improve; the trace-norm objective, with the Choi
-factor F kept as an (in, out·rank) matrix and F† as an (out·rank, in) one,
-so that an output's factor and a sign matrix's pull-back are one GEMM each;
-deterministic multi-starts; a golden-section search; and one solver for
-maximizing a linear functional over energy-bounded states: the
+Lanczos proposal that does not improve or the first capped one that gains no
+more than the duality gap it is solved to; the trace-norm objective, with
+the Choi factor F kept as an (in, out·rank) matrix and F† as an (out·rank,
+in) one, so that an output's factor and a sign matrix's pull-back are one
+GEMM each; deterministic multi-starts; a golden-section search; and one
+solver for maximizing a linear functional over energy-bounded states: the
 one-dimensional dual min_{μ≥0} λmax(G − μK) + μE, minimized by safeguarded
 Newton steps on Danskin's derivative E − ⟨v|K|v⟩ inside the closed-form
 bracket [0, μ_max] and stopped on its duality gap, the least dual value less
@@ -98,6 +99,11 @@ def gradient_ascent(point, gradient, trial, alpha_max: float, max_iter: int):
     return f, point
 
 
+def _check_reference_dim(r_dim: int) -> None:
+    if int(r_dim) < 1:
+        raise ValueError(f"reference dimension must be at least 1, got {r_dim}")
+
+
 def check_energy_budget(hamiltonian: Hamiltonian, budget: float) -> None:
     """Reject a non-finite budget (ValueError) or one at or below the ground
     energy (InfeasibleProblemError)."""
@@ -166,6 +172,7 @@ class EnergyCap:
 
     def __init__(self, hamiltonian: Hamiltonian, r_dim: int, budget: float):
         check_energy_budget(hamiltonian, budget)
+        _check_reference_dim(r_dim)
         self._h = _exact_real(hamiltonian.matrix)
         self._tau0 = _exact_real(hamiltonian.eigenbasis[:, 0])
         self._e0 = float(hamiltonian.ground_energy)
@@ -240,6 +247,7 @@ class TraceNormObjective:
     """
 
     def __init__(self, choi: np.ndarray, in_dim: int, out_dim: int, r_dim: int, kraus_pair=None):
+        _check_reference_dim(r_dim)
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.r_dim = int(r_dim)
@@ -420,6 +428,9 @@ def _lanczos_top(matvec, start: np.ndarray, first: np.ndarray) -> np.ndarray | N
 
 CAP_PROPOSAL_MAX_DIM = 64
 DUAL_MAX_EVALS = 200
+# the capped proposal's duality gap, relative to max(1, |φ|); a proposal that
+# gains no more than it, relative to max(1, |f|), ends the capped ascent
+PROPOSAL_GAP = 1e-10
 
 
 class _DualPoint:
@@ -596,14 +607,14 @@ def _capped_proposal(objective, cap, mu_hint: float):
     with ⟨ψ|(H⊗I)|ψ⟩ ≤ E is the one-dimensional dual
     min_{μ≥0} λmax(G − μH⊗I) + μE, solved by `_energy_dual` from the warm
     start mu_hint, which also returns the feasible maximizer. The dual stops
-    once that vector's surrogate value is within 1e-10·max(1, |φ|) of the
-    least dual value φ, so the proposal never scores below the current
-    point by more than that. Returns (vector, its surrogate value ⟨x|G|x⟩
-    from the G built here, μ), so the ascent screens it without another
-    `sign_value`. Only worth the dense eigensolves at small dimension, hence
-    the gate in `ascend`.
+    once that vector's surrogate value is within PROPOSAL_GAP·max(1, |φ|) of
+    the least dual value φ, so the proposal never scores below the current
+    point by more than that, and no vector within the cap beats it by more.
+    Returns (vector, its surrogate value ⟨x|G|x⟩ from the G built here, μ),
+    so the ascent screens it without another `sign_value`. Only worth the
+    dense eigensolves at small dimension, hence the gate in `ascend`.
     """
-    mu, _, best, value = _energy_dual(objective.surrogate_matrix(), cap, mu_hint, 1e-10)
+    mu, _, best, value = _energy_dual(objective.surrogate_matrix(), cap, mu_hint, PROPOSAL_GAP)
     return best, value, mu
 
 
@@ -633,8 +644,11 @@ def ascend(
     (a real ψ stays real), their S3 point, capped, replaces ψ2 if its exact
     `objective.value` is higher, and the next two steps start from there.
     Each proposal and each such trial is one of the max_iter steps; a trial
-    that wins is expanded as part of it. Stops at the first proposal that
-    does not improve, on a stall (`_stalled`), or after max_iter steps.
+    that wins is expanded as part of it. Stops at the first Lanczos proposal
+    that does not improve, at the first capped proposal that gains at most
+    its dual's gap, PROPOSAL_GAP·max(1, |f|), over f (no vector within the
+    cap then raises the linearization by more than about twice that), on a
+    stall (`_stalled`), or after max_iter steps.
     """
     psi = normalize(_exact_real(np.asarray(start, dtype=np.complex128).reshape(-1)))
     if project is not None:
@@ -673,12 +687,13 @@ def ascend(
         else:
             if project is not None:
                 cand, value, mu_hint = _capped_proposal(objective, project, mu_hint)
+                tol = PROPOSAL_GAP * max(1.0, abs(f))
             else:
                 cand = _lanczos_top(objective.apply_sign, psi, 0.5 * grad)
                 if cand is None:
                     break
-                value = objective.sign_value(cand)
-            if value <= f:
+                value, tol = objective.sign_value(cand), 0.0
+            if value - f <= tol:
                 break
             c = np.vdot(psi, cand)  # align the phase: ⟨ψ_prev|ψ⟩ real and ≥ 0
             cand = cand * (np.conj(c) / abs(c)) if c else cand
@@ -715,8 +730,11 @@ def start_vectors(
 
     Start 0 is the balanced entangled vector, real; the rest are complex
     Gaussian draws from per-restart generators keyed by (seed, restart
-    index), so the set does not depend on evaluation order.
+    index), so the set does not depend on evaluation order. ValueError for
+    fewer than 1 restart.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     starts: list[np.ndarray] = []
     k = min(in_dim, r_dim)
     m0 = np.zeros((in_dim, r_dim))

@@ -123,6 +123,15 @@ def test_energy_cap_projection():
         assert np.linalg.norm(out - ground) > 0.5
 
 
+@pytest.mark.parametrize("r_dim", [0, -1])
+def test_constructors_reject_a_reference_dimension_below_one(r_dim):
+    h = Hamiltonian(np.arange(3) + 0.5)
+    with pytest.raises(ValueError, match="reference dimension"):
+        EnergyCap(h, r_dim, 1.0)
+    with pytest.raises(ValueError, match="reference dimension"):
+        TraceNormObjective(_attenuator_pair(3).choi, 3, 3, r_dim)
+
+
 def test_energy_cap_kron_matrix():
     rng = np.random.default_rng(31)
     cap, h, _ = _random_cap(rng, 4, 3)
@@ -744,6 +753,14 @@ def test_start_vectors_structure():
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_multistart_rejects_fewer_than_one_restart(restarts):
+    obj = TraceNormObjective(_attenuator_pair(3).choi, 3, 3, 2)
+    cap = EnergyCap(Hamiltonian(np.arange(3) + 0.5), 2, 1.0)
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        multistart_ascend(obj, 3, 2, restarts=restarts, seed=0, project=cap, max_iter=5)
+
+
 def test_multistart_deterministic():
     rng = np.random.default_rng(39)
     obj, _, _, _ = _difference_objective(rng, 3, 3, 2)
@@ -1051,3 +1068,33 @@ def test_extrapolation_trials_count_toward_max_iter(monkeypatch, capped, max_ite
     assert seen["expand"] <= 1 + seen["proposal"] + screens
     if capped:
         assert max(seen["screens"]) <= cap.budget
+
+
+def _gap_rule_problem():
+    """A random difference at d = 3, r = 2 (seed 5) under the oscillator cap
+    at E = 0.8, with start 1: before the gap rule its capped ascent (at most
+    100 steps) took 45 expansions and stalled at 1.7553970838832487."""
+    rng = np.random.default_rng(5)
+    diff = HermitianPreservingMap.difference(*(random_channel(rng, 3, 3, 2) for _ in range(2)))
+    cap = EnergyCap(Hamiltonian(np.arange(3) + 0.5), 2, 0.8)
+    return TraceNormObjective(diff.choi, 3, 3, 2, diff.kraus_pair), cap, start_vectors(3, 2, 2, seed=0)[1]
+
+
+def test_capped_ascent_stops_once_a_proposal_gains_no_more_than_its_gap(monkeypatch):
+    """The ascent ends within 1e-9 relative of the stalled value, in at most
+    30 expansions: the proposals after that point gain less than the duality
+    gap their energy dual is solved to."""
+    objective, cap, start = _gap_rule_problem()
+    f, seen = _recording_ascent(monkeypatch, objective, start, cap, 100)
+    assert abs(f - 1.7553970838832487) <= 1e-9 * 1.7553970838832487
+    assert seen["expand"] <= 30
+
+
+def test_capped_ascent_ends_where_a_fresh_proposal_gains_within_the_gap():
+    """At the point the capped ascent returns, a fresh capped proposal gains
+    at most twice the dual's gap over the objective there."""
+    objective, cap, start = _gap_rule_problem()
+    _, psi = optim.ascend(objective, start, project=cap, max_iter=100)
+    f = objective.expand(psi)
+    _, value, _ = _capped_proposal(objective, cap, 0.0)
+    assert value - f <= 2.0 * optim.PROPOSAL_GAP * max(1.0, abs(f))

@@ -135,8 +135,9 @@ def capped_ascent_s():
 
 
 def converged_ascent_s():
-    """Time of one capped ascent that ends on its stall rule (`optim.ascend`
-    from start 1, at most 100 steps, the capped proposal) on a random
+    """Time of one capped ascent that ends on its gap rule, a proposal that
+    gains at most `optim.PROPOSAL_GAP` relative (`optim.ascend` from start 1,
+    at most 100 steps, the capped proposal) on a random
     difference at d = 3, r = 2, E = 0.8, with a fresh objective per run, and
     its expansions (`value_and_grad` calls on a tree without `expand`), its
     `value` screens and its `_DualPoint` evaluations."""
