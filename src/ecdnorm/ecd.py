@@ -21,10 +21,18 @@ unconstrained diamond norm is the member of the family with no energy cap,
 bracketed by the same routine. The factor of the Choi matrix behind both
 comes from a map's Kraus pair when it carries one (a rank-sized QR), else
 from `eigh` of the whole Choi matrix.
+
+A difference of maps with one Kraus operator each, V and W (a phase
+rotation against the identity, say), takes the isometric route instead of
+the ascent and those certificates: its norm is 2√(1 − m²), m the distance
+from 0 to the numerical range of V†W under the cap, which Wolfe's min-norm
+point method brackets to about 1e-12 from a few `energy_constrained_sup`
+calls (`_isometric_route`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,12 +90,15 @@ class EcdEstimate:
     """Bracket [lower, upper] with the witness attaining the lower value.
 
     witness_energy is None for the unconstrained norm, which has no cap.
+    route is "isometric" where `_isometric_route` served the bracket, else
+    "ascent".
     """
 
     lower: float
     upper: float
     witness: np.ndarray
     witness_energy: float | None
+    route: str = "ascent"
 
     def __post_init__(self):
         if not 0.0 <= self.lower <= self.upper + 1e-9:
@@ -181,6 +192,115 @@ def embed_witness(witness: np.ndarray, d_small: int, d_large: int) -> np.ndarray
     return m.reshape(-1)
 
 
+# oracle calls of one isometric route at most; Wolfe's method needs 2–21
+ROUTE_MAX_CALLS = 100
+
+
+def _min_norm_weights(z: np.ndarray) -> np.ndarray:
+    """Convex weights of the point of least modulus in the hull of at most
+    three complex points: 0 itself when it lies inside their triangle, else
+    the nearest point of the nearest edge (Wolfe's minor cycle in the plane)."""
+    n = z.size
+    if n == 3:
+        cross = (np.roll(z, -1).conj() * np.roll(z, -2)).imag  # barycentric weights of 0
+        if cross.sum() != 0.0 and (cross / cross.sum() >= 0.0).all():
+            return cross / cross.sum()
+    best, weights = np.inf, np.ones(1)
+    for i, j in itertools.combinations(range(n), 2):
+        dz = z[j] - z[i]
+        t = min(max(-(z[i].conj() * dz).real / abs(dz) ** 2, 0.0), 1.0) if dz != 0.0 else 0.0
+        if abs(z[i] + t * dz) < best:
+            best, weights = abs(z[i] + t * dz), np.zeros(n)
+            weights[i], weights[j] = 1.0 - t, t
+    return weights
+
+
+def _numerical_range_min(v: np.ndarray, w: np.ndarray, problem: EcdProblem | None):
+    """Wolfe's min-norm point method (Math. Prog. 11, 128 (1976)) on the
+    convex set of the values Tr ρA, A = V†W, over input states ρ within the
+    problem's budget (all states with none): its point nearest 0, at
+    distance m, gives the norm.
+
+    With D_φ = V − e^{−iφ}W, Tr ρD_φ†D_φ = S − 2 Re(e^{−iφ} Tr ρA) for
+    S = Tr ρ(V†V + W†W), which is S − 2|Tr ρA| at φ = arg Tr ρA. The
+    oracle at φ maximizes it, by `energy_constrained_sup` under a cap or the
+    top eigenpair with none: the maximum g(φ) bounds S − 2|Tr ρA| for every
+    feasible ρ, and the pure maximizer x adds the support point x†Ax to an
+    active set of at most three points. D_φ is formed as a difference, so g
+    keeps its relative precision as W approaches V. The min-norm point z*
+    of the active set aims the next φ = arg z*, at which ρ* = Σ w_i x_i x_i†
+    reaches t = Tr ρ*D_φ†D_φ = S − 2|z*|. Stops once the least g is within
+    1e-12 of t, relative, when 0 lies inside the active triangle, or when t
+    stops rising. The first φ is the argument of ⟨x₀|A|x₀⟩ for the ground
+    vector x₀, or of Tr A with no cap.
+
+    Returns (least g, (φ, μ) of the oracle call that gave it, μ = 0 with no
+    cap, active weights, active vectors as rows).
+    """
+    a = v.conj().T @ w
+    if problem is None:
+        phi = float(np.angle(np.trace(a)))
+    else:
+        x0 = problem.h_in.eigenbasis[:, 0]
+        phi = float(np.angle(np.vdot(x0, a @ x0)))
+    zs, xs = np.zeros(0, dtype=np.complex128), np.zeros((0, a.shape[0]), dtype=np.complex128)
+    best, last = (np.inf, 0.0, 0.0), -np.inf
+    for _ in range(ROUTE_MAX_CALLS):
+        d = v - np.exp(-1j * phi) * w
+        dd = d.conj().T @ d
+        if problem is None:
+            lam, vec = np.linalg.eigh(dd)
+            g, x, mu = float(lam[-1]), vec[:, -1], 0.0
+        else:
+            # scaled to order 1, where the solver's duality gap is relative
+            scale = max(float(np.abs(dd).max()), 1e-300)
+            sup = energy_constrained_sup(dd / scale, problem.h_in, problem.energy)
+            j = int(np.argmax(np.diag(sup.state).real))
+            x = sup.state[:, j] / math.sqrt(sup.state[j, j].real)
+            g, mu = sup.value * scale, sup.multiplier * scale
+        if g < best[0]:
+            best = (g, phi, mu)
+        zs, xs = np.append(zs, np.vdot(x, a @ x)), np.vstack([xs, x])
+        weights = _min_norm_weights(zs)
+        zs, xs, weights = zs[weights > 0.0], xs[weights > 0.0], weights[weights > 0.0]
+        phi = float(np.angle(weights @ zs))
+        t = weights @ np.linalg.norm((v - np.exp(-1j * phi) * w) @ xs.T, axis=0) ** 2
+        if weights.size == 3 or best[0] - t <= 1e-12 * best[0] or t <= last:
+            break
+        last = t
+    return best[0], best[1:], weights, xs
+
+
+def _isometric_route(the_map: HermitianPreservingMap, r_dim: int, problem: EcdProblem | None):
+    """(upper, witness or None) for a difference of maps with one Kraus
+    operator each, V and W.
+
+    A pure input with marginal ρ has outputs uu† and vv†, and
+    ‖uu† − vv†‖₁² = t(2S − t) with S = |u|² + |v|² = Tr ρ(V†V + W†W) and
+    t = S − 2|Tr ρV†W|, increasing in t up to S. With t ≤ g from
+    `_numerical_range_min` and S ≤ s = max(1, λmax(V†V)) + max(1, λmax(W†W)),
+    the norm is at most √(g(2s − g)) for g ≤ s, and s past it, capped by the
+    generic 2; on isometries that is 2√(1 − m²), g = 2(1 − m). The witness
+    purifies ρ*: its vectors times √w as columns when r_dim holds them,
+    else, when V†W and H are both diagonal, the dephased ρ* (which keeps
+    Tr ρ*V†W and the energy) on one reference level; None otherwise.
+    """
+    (v,), (w,) = the_map.kraus_pair
+    g, _, weights, xs = _numerical_range_min(v, w, problem)
+    s = sum(max(1.0, float(np.linalg.eigvalsh(k.conj().T @ k)[-1])) for k in (v, w))
+    g = min(g, s)
+    upper = min(2.0, math.sqrt(g * (2.0 * s - g)))
+    diagonal = [v.conj().T @ w] if problem is None else [v.conj().T @ w, problem.h_in.matrix]
+    m = np.zeros((the_map.in_dim, r_dim), dtype=np.complex128)
+    if weights.size <= r_dim:
+        m[:, : weights.size] = (xs * np.sqrt(weights)[:, None]).T
+    elif all(np.array_equal(x, np.diag(np.diag(x))) for x in diagonal):
+        m[:, 0] = np.sqrt(weights @ np.abs(xs) ** 2)
+    else:
+        return upper, None
+    return upper, m.reshape(-1)
+
+
 def _estimate(
     the_map: HermitianPreservingMap,
     r_dim: int,
@@ -192,14 +312,28 @@ def _estimate(
 ) -> EcdEstimate:
     """Bracket the norm of the map under the energy cap of problem, or none.
 
-    The lower value is the best objective over `restarts` deterministic
-    multi-start ascents plus any extra_starts; the upper value is the least
-    of the certificates named in the module docstring, the dual bounds all
-    under one cap on input states (r_dim 1). ValueError for fewer than 1
-    restart, from `start_vectors`.
+    A difference of maps with one Kraus operator each takes the isometric
+    route, `_isometric_route`, and returns its bracket if that closes to
+    1e-9 relative. Otherwise the route's upper value joins the certificates
+    below and its witness, if any, the starts. The lower value is the best
+    objective over `restarts` deterministic multi-start ascents plus any
+    extra_starts; the upper value is the least of the certificates named in
+    the module docstring, the dual bounds all under one cap on input states
+    (r_dim 1). ValueError for fewer than 1 restart, on either route.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     cap = None if problem is None else EnergyCap(problem.h_in, r_dim, problem.energy)
     objective = _objective(the_map, r_dim)
+    route_upper = 2.0
+    if the_map.kraus_pair is not None and all(len(k) == 1 for k in the_map.kraus_pair):
+        route_upper, witness = _isometric_route(the_map, r_dim, problem)
+        if witness is not None:
+            lower = objective.value(witness)
+            if route_upper - lower <= 1e-9 * route_upper:
+                witness_energy = None if cap is None else cap.energy(witness)
+                return EcdEstimate(lower, route_upper, witness, witness_energy, "isometric")
+            extra_starts = [*([] if extra_starts is None else extra_starts), witness]
     lower, witness = multistart_ascend(
         objective,
         the_map.in_dim,
@@ -221,7 +355,7 @@ def _estimate(
             states.append(max_entropy_state(problem.h_in, problem.energy).matrix)
     upper = min(objective.dual_bound(rho, input_cap) for rho in states)
     if the_map.kraus_pair is not None:
-        upper = min(upper, 2.0)
+        upper = min(upper, route_upper)
         if problem is not None:
             upper = min(
                 upper,

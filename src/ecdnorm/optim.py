@@ -779,7 +779,8 @@ class EnergyConstrainedSup:
     minimizing μ, at which the dual function rechecks value as an upper
     bound. state is `_energy_dual`'s feasible pure maximizer, a primal
     certificate; attained is its objective value, so value - attained, the
-    duality gap, is about 1e-9·max(1, |value|) at most.
+    duality gap, is about 1e-9·max(1, |value|) at most. ValueError for a
+    matrix that is not finite or not square of the Hamiltonian's dimension.
     """
 
     value: float
@@ -792,6 +793,12 @@ def energy_constrained_sup(
     m: np.ndarray, hamiltonian: Hamiltonian, budget: float
 ) -> EnergyConstrainedSup:
     cap = EnergyCap(hamiltonian, 1, budget)
+    m = np.asarray(m)
+    d = hamiltonian.dimension
+    if m.shape != (d, d):
+        raise ValueError(f"matrix of shape {m.shape} does not match the {d}-level Hamiltonian")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     m = _exact_real(0.5 * (m + m.conj().T))
     mu, value, top, attained = _energy_dual(m, cap, 0.0, 1e-14)
     state = np.outer(top, top.conj()).astype(np.complex128)

@@ -36,6 +36,7 @@ from ecdnorm import (
     estimate_ecd_norm,
     holevo_capacity_estimate,
     identity_channel,
+    multistart_ascend,
     phase_rotation,
     solve_gibbs,
     state_truncation_bound,
@@ -556,3 +557,134 @@ def test_lower_above_certificate_by_rounding_keeps_the_certificate():
     assert est.witness_energy is None
     with pytest.raises(ValueError, match="invalid bracket"):
         EcdEstimate(1.0, 0.5, est.witness, None)
+
+
+def _phase_map(d, theta):
+    return HermitianPreservingMap.difference(phase_rotation(d, theta), identity_channel(d))
+
+
+def _unitary_map(seed, d, scale):
+    """exp(i·scale·X) against the identity, X a Hermitian Gaussian draw:
+    V†W has no basis in common with H."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    lam, vec = np.linalg.eigh(0.5 * (z + z.conj().T))
+    u = (vec * np.exp(1j * scale * lam)) @ vec.conj().T
+    return HermitianPreservingMap.difference(Channel([u]), identity_channel(d))
+
+
+def test_isometric_route_closes_the_strong_convergence_bracket():
+    """The bench's phase16/0.5 task: θ = 0.5 at 16 levels, E = 2, r = 1. The
+    ascent stops at 1.741320 below the norm, 2√(1 − m²) = 1.7414723592."""
+    h = TruncatedOscillator(16, 1.0).hamiltonian
+    problem = EcdProblem(_phase_map(16, 0.5), h, 2.0, r_dim=1)
+    est = estimate_ecd_norm(problem, restarts=2, seed=0, max_iter=30)
+    assert est.route == "isometric"
+    assert est.lower >= 1.741472
+    assert est.upper - est.lower <= 1e-9 * est.upper
+    assert est.witness_energy <= 2.0 + 1e-12
+    assert abs(ecd_objective(problem, est.witness) - est.lower) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [2e-6, 1e-9])
+def test_isometric_route_keeps_its_precision_at_small_angles(theta):
+    """Where the norm is about 9θ, the certificate reads V − e^{−iφ}W, not
+    1 − |Tr ρV†W|, and is solved at order 1, so the bracket still closes."""
+    h = TruncatedOscillator(16, 1.0).hamiltonian
+    problem = EcdProblem(_phase_map(16, theta), h, 2.0, r_dim=1)
+    est = estimate_ecd_norm(problem, restarts=2, seed=0, max_iter=30)
+    assert est.route == "isometric"
+    assert abs(est.upper - est.lower) <= 1e-9 * est.upper
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1e-11])
+def test_open_route_bracket_seeds_the_ascent(theta):
+    """With no cap, the min-norm weights of support points that differ by
+    about θ are rounding, and the route's lower value can stay open; the
+    ascent then starts from its witness, and the route's upper value, 15θ,
+    joins the certificates."""
+    est = estimate_diamond_norm(_phase_map(16, theta), restarts=2, seed=0, max_iter=30)
+    assert est.upper <= 15.0 * theta * (1.0 + 1e-12)
+    assert abs(est.upper - est.lower) <= 1e-6 * est.upper
+
+
+def test_isometric_route_on_a_non_commuting_unitary():
+    """A random unitary against the identity at 10 levels, E = 1.5, r = 10:
+    the route's bracket closes, the ascent stays below its upper value and
+    its lower value stays below every dual certificate of the ascent path."""
+    d, energy = 10, 1.5
+    h = TruncatedOscillator(d, 1.0).hamiltonian
+    problem = EcdProblem(_unitary_map(0, d, 0.15), h, energy, r_dim=d)
+    est = estimate_ecd_norm(problem, restarts=2, seed=0, max_iter=50)
+    assert est.route == "isometric"
+    assert est.upper - est.lower <= 1e-9
+    assert est.witness_energy <= energy + 1e-12
+    objective = ecd._objective(problem.map, d)
+    cap = EnergyCap(h, d, energy)
+    ascent, _ = multistart_ascend(objective, d, d, 4, 0, project=cap, max_iter=200)
+    assert ascent <= est.upper + 1e-9
+    m = est.witness.reshape(d, d)
+    states = [np.eye(d) / d, m @ m.conj().T, ecd.max_entropy_state(h, energy).matrix]
+    for rho in states:
+        assert est.lower <= objective.dual_bound(rho, EnergyCap(h, 1, energy)) + 1e-9
+
+
+def test_isometric_route_gives_two_where_the_numerical_range_holds_zero():
+    """Z against the identity: Tr ρZ = 0 at ρ = I/2, so the norm is 2, with
+    or without a cap that allows that state. The certificate c = 0 makes the
+    upper value exactly 2; the witness's objective is 2 to rounding."""
+    the_map = HermitianPreservingMap.difference(Channel([np.diag([1.0, -1.0])]), identity_channel(2))
+    for est in (
+        estimate_diamond_norm(the_map, restarts=1),
+        estimate_ecd_norm(EcdProblem(the_map, Hamiltonian([0.0, 1.0]), 0.5), restarts=1),
+    ):
+        assert est.route == "isometric"
+        assert est.upper == 2.0
+        assert abs(est.lower - 2.0) <= 1e-15
+
+
+def test_isometric_route_without_a_witness_falls_back_to_the_ascent():
+    """At r = 1 the min-norm state of a non-diagonal V†W mixes two pure
+    states, which no single vector purifies: the ascent runs, and its upper
+    value is at most the route's."""
+    h = TruncatedOscillator(10, 1.0).hamiltonian
+    problem = EcdProblem(_unitary_map(1, 10, 0.05), h, 1.5, r_dim=1)
+    route_upper, witness = ecd._isometric_route(problem.map, 1, problem)
+    assert witness is None
+    est = estimate_ecd_norm(problem, restarts=2, seed=0, max_iter=50)
+    assert est.route == "ascent"
+    assert est.upper <= route_upper
+    assert est.lower <= est.upper + 1e-9
+
+
+def test_isometric_route_upper_rechecks_from_its_multiplier():
+    """The best oracle call's (φ, μ) certifies its g with one `eigvalsh`, as
+    in `conftest.check_energy_sup`: the dual function λmax(D†D − μH) + μE,
+    D = V − e^{−iφ}W, does not exceed g, and the route's upper value is the
+    one built from that recheck."""
+    d, energy = 10, 1.5
+    h = TruncatedOscillator(d, 1.0).hamiltonian
+    problem = EcdProblem(_unitary_map(2, d, 0.15), h, energy, r_dim=d)
+    (v,), (w,) = problem.map.kraus_pair
+    g, (phi, mu), _, _ = ecd._numerical_range_min(v, w, problem)
+    assert mu > 0.0
+    diff = v - np.exp(-1j * phi) * w
+    recheck = float(np.linalg.eigvalsh(diff.conj().T @ diff - mu * h.matrix)[-1]) + mu * energy
+    assert recheck <= g + 1e-12 * max(1.0, g)
+    s = sum(max(1.0, float(np.linalg.eigvalsh(k.conj().T @ k)[-1])) for k in (v, w))
+    recheck = min(recheck, s)
+    est = estimate_ecd_norm(problem, restarts=1)
+    assert abs(est.upper - min(2.0, math.sqrt(recheck * (2.0 * s - recheck)))) <= 1e-12
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_isometric_route_rejects_fewer_than_one_restart(restarts):
+    """The route runs no start, so the check comes before it."""
+    the_map = _phase_map(3, 0.3)
+    h = Hamiltonian([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="restarts"):
+        estimate_ecd_norm(EcdProblem(the_map, h, 1.0), restarts=restarts, max_iter=5)
+    with pytest.raises(ValueError, match="restarts"):
+        estimate_diamond_norm(the_map, restarts=restarts, max_iter=5)
+    with pytest.raises(ValueError, match="restarts"):
+        subspace_seminorm(the_map, h, 2, restarts=restarts, max_iter=5)

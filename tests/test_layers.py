@@ -24,6 +24,7 @@ CASES = {
         "pair16_complex_start", "pair16_complex_start_apply_sign_calls", "pair16_complex_start_value_and_grad_calls",
     },
     "projected_ascent_s": {"pair24", "pair24_value_and_grad_calls", "pair24_sign_value_calls"},
+    "isometric_route_s": {"phase16", "phase16_sup_calls", "zoo_d16", "zoo_d16_sup_calls"},
     "capacity_s": {
         f"{case}{key}" for case in ("attenuator12", "identity12")
         for key in ("", "_value_calls", "_grads_calls", "_eigensolves", "_eigensolve_n3")

@@ -1098,3 +1098,16 @@ def test_capped_ascent_ends_where_a_fresh_proposal_gains_within_the_gap():
     f = objective.expand(psi)
     _, value, _ = _capped_proposal(objective, cap, 0.0)
     assert value - f <= 2.0 * optim.PROPOSAL_GAP * max(1.0, abs(f))
+
+
+def test_energy_constrained_sup_rejects_a_bad_matrix():
+    """A matrix with a NaN or an infinity, or of another dimension than H,
+    is a ValueError that says so, not an eigensolver or broadcast failure."""
+    h = Hamiltonian([0.0, 1.0, 2.0, 3.0])
+    for bad in (np.nan, np.inf):
+        m = np.eye(4)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            energy_constrained_sup(m, h, 1.0)
+    with pytest.raises(ValueError, match=r"\(3, 3\).*4-level"):
+        energy_constrained_sup(np.eye(3), h, 1.0)

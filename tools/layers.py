@@ -183,6 +183,21 @@ def projected_ascent_s():
     return {"pair24": seconds, **calls}
 
 
+def isometric_route_s():
+    """Time of `estimate_ecd_norm` on the bench tasks `phase16/0.5`
+    (capped-families) and `zoo/phase-vs-identity/d16/ecd` (lanczos-zoo), at
+    their bench settings, and its `energy_constrained_sup` calls."""
+    out = {}
+    for name, workload, key in (("phase16", "capped-families", "phase16/0.5"),
+                                ("zoo_d16", "lanczos-zoo", "zoo/phase-vs-identity/d16/ecd")):
+        task = next(t for t in workloads.pool(workload) if t.key == key)
+        task.prepare(ecdnorm)
+        with counting(ecd, "energy_constrained_sup") as calls:
+            out[name] = timed(lambda: task.run(ecdnorm))
+        out[name + "_sup_calls"] = len(calls) // RUNS
+    return out
+
+
 def _shape(matrices, *args, **kwargs):
     return np.shape(matrices)
 
@@ -240,7 +255,8 @@ def cli_outputs():
 
 
 TIMINGS = {f.__name__: f for f in (constructor_s, capped_proposal_s, capped_ascent_s, converged_ascent_s,
-                                   uncapped_ascent_s, projected_ascent_s, capacity_s, ea_s)}
+                                   uncapped_ascent_s, projected_ascent_s, isometric_route_s, capacity_s,
+                                   ea_s)}
 PROBES = {f.__name__: f for f in (brackets, cli_outputs)}
 
 
